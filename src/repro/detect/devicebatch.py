@@ -43,8 +43,6 @@ from repro.utils.validation import check_shape_2d
 
 __all__ = [
     "TransferStats",
-    "BatchGroup",
-    "BatchPlan",
     "BatchExecution",
     "BatchFrameWorkspace",
     "fuse_uniform_launch",
@@ -102,56 +100,6 @@ class TransferStats:
             "per_frame_d2h": self.per_frame_d2h,
             "saved": self.saved,
         }
-
-
-# ---------------------------------------------------------------------------
-# batch formation
-
-
-@dataclass(frozen=True)
-class BatchGroup:
-    """One device batch: a run of consecutive same-shaped frames."""
-
-    start: int
-    count: int
-    shape: tuple[int, int]
-
-    @property
-    def indices(self) -> range:
-        return range(self.start, self.start + self.count)
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """How a window of in-flight frames splits into device batches.
-
-    Frames fuse only when their pyramids are congruent — same frame
-    shape means every level, mapping and launch template is shared — so
-    the plan groups *consecutive* same-shaped frames (order must be
-    preserved for the engine's FIFO output) and caps each group at the
-    configured device batch size.
-    """
-
-    groups: tuple[BatchGroup, ...]
-
-    @classmethod
-    def plan(cls, shapes: list[tuple[int, int]], max_batch: int) -> "BatchPlan":
-        if max_batch < 1:
-            raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        groups: list[BatchGroup] = []
-        start = 0
-        for index, shape in enumerate(shapes):
-            if index > start and (
-                shape != shapes[start] or index - start >= max_batch
-            ):
-                groups.append(BatchGroup(start, index - start, shapes[start]))
-                start = index
-        if shapes:
-            groups.append(BatchGroup(start, len(shapes) - start, shapes[start]))
-        return cls(tuple(groups))
-
-    def __iter__(self):
-        return iter(self.groups)
 
 
 @dataclass
@@ -256,8 +204,9 @@ def concat_launches(launches: list[KernelLaunch]) -> KernelLaunch:
 class BatchFrameWorkspace(FrameWorkspace):
     """A :class:`FrameWorkspace` that can run N frames as one device batch.
 
-    ``process_frame`` (and therefore every per-frame engine path) is
-    inherited unchanged; :meth:`process_batch` adds the fused route.
+    ``process_frame`` is inherited unchanged; :meth:`process_batch` adds
+    the fused route and is the engine's one entry point — a group of one
+    (the per-frame path) falls straight back to ``process_frame``.
     Not thread-safe, like its base: the backend plans it drives own
     persistent scratch.
     """
@@ -279,13 +228,6 @@ class BatchFrameWorkspace(FrameWorkspace):
         """
         resamples = sum(1 for state in geo.levels if state.index > 0)
         return len(geo.octave_plans) + resamples + 2 * len(geo.levels)
-
-    def _geometry(self, shape: tuple[int, int]) -> _Geometry:
-        geo = self._geometries.get(shape)
-        if geo is None:
-            geo = _Geometry(self._pipeline, self._backend, shape)
-            self._geometries[shape] = geo
-        return geo
 
     # -- the fused batch ------------------------------------------------------
 
@@ -314,18 +256,15 @@ class BatchFrameWorkspace(FrameWorkspace):
 
         if n == 1 or self._fastpath.enabled:
             results = [self.process_frame(arr, mode) for arr in arrs]
-            geo = self._geometry(
-                np.asarray(arrs[0], dtype=np.float32).shape
-            )
-            sites = self._transfer_sites(geo)
+            crossings = self._transfer_sites(self._geometry(arrs[0].shape)) * n
             transfers = TransferStats(
                 frames=n,
                 batches=1,
                 fused_batches=0,
-                h2d=sites * n,
-                d2h=sites * n,
-                per_frame_h2d=sites * n,
-                per_frame_d2h=sites * n,
+                h2d=crossings,
+                d2h=crossings,
+                per_frame_h2d=crossings,
+                per_frame_d2h=crossings,
             )
             return BatchExecution(results=results, schedule=None, transfers=transfers)
 

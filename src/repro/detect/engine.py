@@ -21,20 +21,25 @@ the host.  Two pieces:
   equality, and the cross-backend oracle extends the same contract to
   every other backend.
 
-* :class:`DetectionEngine` — runs N frames in flight, one workspace per
-  worker, with bounded in-flight frames (backpressure: the input
-  iterator is only advanced when a slot frees) and strictly ordered
-  output.  :class:`ShardingMode` selects the executor: ``threads``
-  (the original ``concurrent.futures`` thread pool — cooperative under
-  the GIL, cheap hand-off), ``processes`` (a persistent
-  ``ProcessPoolExecutor`` whose workers each build their own pipeline
-  once from a picklable :class:`~repro.detect.pipeline.PipelineSpec`,
-  with frame pixels moved through a
-  :class:`~repro.video.shm.SharedFrameRing` instead of pickles — true
-  multi-core parallelism), or ``auto`` (processes whenever more than
-  one worker meets more than one core).  Both sharded paths keep the
-  ordered-output and ``max_in_flight`` contracts exactly, and both are
-  byte-identical to serial ``process_frame``.
+* :class:`DetectionEngine` — runs N frames in flight through one
+  primitive: run a *group* of same-shaped lanes on one workspace
+  (:meth:`~repro.detect.devicebatch.BatchFrameWorkspace.process_batch`)
+  and return one :class:`FrameResult` per lane.  Frames are grouped one
+  at a time, or into device batches of up to ``device_batch`` frames
+  with ``batch_across_frames`` on; a group of one falls straight back
+  to ``process_frame``.  Three executors submit a group and return a
+  future of its results: inline (``workers=0``), a persistent thread
+  pool (cooperative under the GIL, cheap hand-off) and a persistent
+  process pool whose workers each build their pipeline once from a
+  picklable :class:`~repro.detect.pipeline.PipelineSpec` and read frame
+  pixels from a :class:`~repro.video.shm.SharedFrameRing` (true
+  multi-core parallelism).  :class:`ShardingMode` picks between the
+  pools (``auto``: processes whenever more than one worker meets more
+  than one core).  On top of the primitive, :meth:`~DetectionEngine.
+  process_frames` is one ordered, backpressured window counted in
+  frames, and ``submit`` / ``submit_batch`` fan group results out to
+  per-frame futures.  Every combination is byte-identical to serial
+  ``process_frame``.
 
 The simulated GPU timing layer is untouched: each frame still gets its
 own :class:`~repro.gpusim.scheduler.ScheduleResult`, which
@@ -55,6 +60,7 @@ from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -85,7 +91,6 @@ from repro.detect.shard import (
     init_worker,
     probe_shard,
     process_shard,
-    process_shard_batch,
 )
 from repro.detect.windows import BlockMapping
 from repro.errors import ConfigurationError, WorkerCrashError
@@ -378,10 +383,7 @@ class FrameWorkspace:
         check_shape_2d("luma", arr)
         mode = mode or self._pipeline.config.mode
         img = np.asarray(arr, dtype=np.float32)
-        geo = self._geometries.get(img.shape)
-        if geo is None:
-            geo = _Geometry(self._pipeline, self._backend, img.shape)
-            self._geometries[img.shape] = geo
+        geo = self._geometry(img.shape)
 
         if self._fastpath.enabled:
             return self._process_frame_fastpath(geo, img, mode)
@@ -422,6 +424,13 @@ class FrameWorkspace:
             kernel_results=kernel_results,
             levels=levels,
         )
+
+    def _geometry(self, shape: tuple[int, int]) -> _Geometry:
+        geo = self._geometries.get(shape)
+        if geo is None:
+            geo = _Geometry(self._pipeline, self._backend, shape)
+            self._geometries[shape] = geo
+        return geo
 
     # -- pyramid ------------------------------------------------------------
 
@@ -737,6 +746,7 @@ class FrameWorkspace:
 
 
 # ---------------------------------------------------------------------------
+# ---------------------------------------------------------------------------
 # the engine: N frames in flight, ordered output, bounded memory
 
 
@@ -749,43 +759,38 @@ def _as_luma(frame) -> np.ndarray:
 def _iter_groups(frames: Iterable, max_batch: int) -> Iterator[tuple[int, list[np.ndarray]]]:
     """Yield ``(start_index, lumas)`` runs of consecutive same-shaped frames.
 
-    The streaming form of :meth:`~repro.detect.devicebatch.BatchPlan.plan`:
-    groups never reorder frames (FIFO output depends on it), never mix
-    frame shapes (fused kernels need congruent pyramids) and never exceed
-    ``max_batch`` frames.
+    The engine's only grouping rule: groups never reorder frames (FIFO
+    output depends on it), never mix frame shapes (fused kernels need
+    congruent pyramids) and never exceed ``max_batch`` frames — ``1``
+    gives the per-frame path its groups of one.
     """
     buf: list[np.ndarray] = []
     start = 0
     for index, frame in enumerate(frames):
-        luma = np.asarray(_as_luma(frame))
-        if buf and (luma.shape != buf[0].shape or len(buf) >= max_batch):
+        luma = _as_luma(frame)
+        if buf and luma.shape != buf[0].shape:
             yield start, buf
             buf = []
         if not buf:
             start = index
         buf.append(luma)
+        # a full group goes out at once: reading ahead to the next frame
+        # would hold one more frame than the backpressure window allows
+        if len(buf) >= max_batch:
+            yield start, buf
+            buf = []
     if buf:
         yield start, buf
 
 
-def _bridge_frame_metrics(metrics: MetricsRegistry, result: FrameResult) -> None:
-    """Bridge one frame's simulated-layer statistics into the registry.
+def _bridge_results_metrics(metrics: MetricsRegistry, results: list[FrameResult]) -> None:
+    """Bridge one group's simulated-layer statistics without double-counting.
 
     Fig. 7's per-depth rejection histogram feeds the stage-1 rejection
-    rate; the schedule's :class:`~repro.gpusim.counters.PerfCounters`
-    feed the branch counters the paper's Section VI-A quotes.
-    """
-    _bridge_cascade_metrics(metrics, result)
-    _bridge_schedule_metrics(metrics, result.schedule)
-
-
-def _bridge_batch_metrics(metrics: MetricsRegistry, results: list[FrameResult]) -> None:
-    """Bridge one device batch's results without double-counting.
-
-    Cascade and fast-path statistics are genuinely per frame; the fused
-    :class:`~repro.gpusim.scheduler.ScheduleResult` is shared by every
-    frame of the batch, so its ``sim.*`` counters land once per distinct
-    schedule object.
+    rate and the fast-path statistics are genuinely per frame; the
+    schedule's :class:`~repro.gpusim.counters.PerfCounters` feed the
+    branch counters the paper's Section VI-A quotes, once per distinct
+    schedule object (a fused device batch shares one).
     """
     seen: set[int] = set()
     for result in results:
@@ -872,6 +877,145 @@ def batch_report(results: Iterable[FrameResult], wall_s: float | None = None) ->
     )
 
 
+# ---------------------------------------------------------------------------
+# executors: one primitive, submit_batch(index, lumas, ...) -> Future[list]
+
+
+class _InlineExecutor:
+    """``workers=0``: every group runs on the caller's thread at submission."""
+
+    broken = False
+
+    def __init__(self, run) -> None:
+        self._run = run
+
+    def submit_batch(self, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(self._run(*args))
+        except Exception as exc:  # surfaced through the future, like a pool
+            future.set_exception(exc)
+        return future
+
+    def close(self, wait: bool = True) -> None:
+        pass
+
+
+class _ThreadExecutor(_InlineExecutor):
+    """A persistent worker-thread pool sharing the engine's workspaces.
+
+    Kept across :meth:`DetectionEngine.process_frames` / ``submit``
+    calls, so long-lived feeders (the serving micro-batcher) pay thread
+    start-up once, not per batch.
+    """
+
+    def __init__(self, run, workers: int) -> None:
+        super().__init__(run)
+        self.pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-engine")
+
+    def submit_batch(self, *args) -> Future:
+        return self.pool.submit(self._run, *args)
+
+    def close(self, wait: bool = True) -> None:
+        self.pool.shutdown(wait=wait)
+
+
+class _ProcessExecutor:
+    """A persistent worker-process pool plus the shared frame ring.
+
+    Each worker builds its pipeline once from a picklable
+    :class:`~repro.detect.shard.WorkerSpec` and keeps its workspace
+    across groups.  A group ships as one :func:`~repro.detect.shard.
+    process_shard` call whose lanes each ride the ring when a slot is
+    free and are pickled inline otherwise; a lane's slot is released
+    when its group's reply arrives.  ``finish`` turns a
+    :class:`~repro.detect.shard.ShardReply` into the group's results on
+    the parent side (spans, metrics).
+
+    A dead worker breaks the whole executor: every affected future
+    resolves with :class:`~repro.errors.WorkerCrashError`, and the
+    engine tears pool and ring down and builds a fresh executor on its
+    next run.
+    """
+
+    broken = False
+
+    def __init__(self, spec: WorkerSpec, workers: int, start_method: str, slots: int, finish):
+        self.pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(start_method),
+            initializer=init_worker,
+            initargs=(spec,),
+        )
+        self.ring: SharedFrameRing | None = None
+        self._slots = slots
+        self._start_method = start_method
+        self._finish = finish
+        self._lock = threading.Lock()
+
+    def _stash(self, luma: np.ndarray) -> SlotTicket | None:
+        """Place a lane in the ring; ``None`` -> pickle fallback.
+
+        The ring is sized on first use: ``max_in_flight`` slots of the
+        first frame's byte size.  Lanes arriving when every slot is
+        taken (unbounded ``submit`` callers) or too large for a slot
+        (mixed-resolution streams) ship inline instead.
+        """
+        with self._lock:
+            if self.ring is None:
+                self.ring = SharedFrameRing(self._slots, int(luma.nbytes))
+            return self.ring.put(luma) if self.ring.free_slots else None
+
+    def _release(self, tickets: list[SlotTicket | None]) -> None:
+        with self._lock:
+            for ticket in tickets:
+                if ticket is not None:
+                    self.ring.release(ticket)
+
+    def _crash(self, exc: BaseException) -> WorkerCrashError:
+        # Only mark the executor broken: on Python >= 3.12 the pool fails
+        # its futures (running these callbacks) under its shutdown lock,
+        # so the teardown is left to the engine's next run or close().
+        self.broken = True
+        err = WorkerCrashError(
+            f"engine worker process died (start method {self._start_method!r}); "
+            f"the pool will be torn down and rebuilt on the next run"
+        )
+        err.__cause__ = exc
+        return err
+
+    def submit_batch(self, index, lumas, mode, submit_ts, span_args) -> Future:
+        outer: Future = Future()
+        tickets = [self._stash(luma) for luma in lumas]
+        lanes = [luma if t is None else t for t, luma in zip(tickets, lumas)]
+        try:
+            inner = self.pool.submit(process_shard, index, lanes, mode, submit_ts, span_args)
+        except BrokenProcessPool as exc:
+            # a dead worker can break the pool before this group's reply
+            # (or any earlier one) is observed
+            self._release(tickets)
+            outer.set_exception(self._crash(exc))
+            return outer
+
+        def complete(f: Future) -> None:
+            self._release(tickets)
+            try:
+                outer.set_result(self._finish(f.result()))
+            except BrokenProcessPool as exc:
+                outer.set_exception(self._crash(exc))
+            except Exception as exc:
+                outer.set_exception(exc)
+
+        inner.add_done_callback(complete)
+        return outer
+
+    def close(self, wait: bool = True) -> None:
+        self.pool.shutdown(wait=wait, cancel_futures=True)
+        with self._lock:
+            if self.ring is not None:
+                self.ring.close()
+
+
 class DetectionEngine:
     """Run many frames through one pipeline with N frames in flight.
 
@@ -904,10 +1048,11 @@ class DetectionEngine:
         ``REPRO_START_METHOD`` or ``spawn`` (the strictest semantics:
         what macOS/Windows enforce).
     tracer:
-        Span tracer shared by every worker workspace; each frame is
-        wrapped in a ``frame`` span (carrying its index, the Chrome
-        exporter's anchor) around the per-stage spans.  Defaults to the
-        pipeline's tracer (normally the no-op :data:`NULL_TRACER`).
+        Span tracer shared by every worker workspace; each group is
+        wrapped in a ``frame`` span (carrying its first frame's index,
+        the Chrome exporter's anchor) around the per-stage spans.
+        Defaults to the pipeline's tracer (normally the no-op
+        :data:`NULL_TRACER`).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
         per-frame queue-wait / latency / ordered-emit histograms, the
@@ -963,9 +1108,7 @@ class DetectionEngine:
         self._metrics = metrics
         self._free: list[FrameWorkspace] = []
         self._lock = threading.Lock()
-        self._pool: ProcessPoolExecutor | None = None
-        self._ring: SharedFrameRing | None = None
-        self._thread_pool: ThreadPoolExecutor | None = None
+        self._executor: _InlineExecutor | _ProcessExecutor | None = None
         self._outstanding: set[Future] = set()
         self._submit_count = 0
 
@@ -1027,23 +1170,17 @@ class DetectionEngine:
             return self._device_batch
         return max(self._workers, 1) + self._queue_depth
 
-    # -- process-sharding lifecycle -----------------------------------------
+    # -- executor lifecycle ---------------------------------------------------
 
     def close(self) -> None:
-        """Tear down the persistent worker pools and the frame ring.
+        """Tear down the persistent worker pool and the frame ring.
 
         Idempotent.  The engine remains usable — the next run lazily
         rebuilds whatever executor its sharding mode needs.
         """
-        pool, self._pool = self._pool, None
-        ring, self._ring = self._ring, None
-        threads, self._thread_pool = self._thread_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        if threads is not None:
-            threads.shutdown(wait=True)
-        if ring is not None:
-            ring.close()
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.close()
 
     def __enter__(self) -> "DetectionEngine":
         return self
@@ -1057,40 +1194,36 @@ class DetectionEngine:
         except Exception:
             pass
 
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
-        """The persistent worker-thread pool (thread sharding only).
+    def _ensure_executor(self) -> _InlineExecutor | _ProcessExecutor:
+        """The executor for this engine's mode, rebuilt after a crash."""
+        executor = self._executor
+        if executor is None or executor.broken:
+            if executor is not None:
+                executor.close(wait=False)
+            if self._workers == 0:
+                executor = _InlineExecutor(self._run_group)
+            elif self._sharding is ShardingMode.PROCESSES:
+                executor = self._start_processes()
+            else:
+                executor = _ThreadExecutor(self._run_group, self._workers)
+            self._executor = executor
+        return executor
 
-        Built lazily on first use and kept across :meth:`process_frames`
-        / :meth:`submit` calls, so long-lived feeders (the serving
-        micro-batcher) pay thread start-up once, not per batch — the
-        worker workspaces in ``self._free`` were already reused this way.
-        """
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="repro-engine"
-            )
-        return self._thread_pool
+    def _start_processes(self) -> _ProcessExecutor:
+        spec = WorkerSpec(
+            pipeline=self._pipeline.spec(),
+            tracing=self._tracer.enabled,
+            trace_origin=self._tracer.origin,
+            stream=self._fastpath_stream,
+        )
+        executor = _ProcessExecutor(
+            spec, self._workers, self._start_method, self.max_in_flight, self._finish_reply
+        )
+        if self._pipeline.backend.capabilities.device_bound:
+            self._verify_worker_probes(executor.pool)
+        return executor
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            spec = WorkerSpec(
-                pipeline=self._pipeline.spec(),
-                tracing=self._tracer.enabled,
-                trace_origin=self._tracer.origin,
-                stream=self._fastpath_stream,
-                device_batch=self._batch,
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._workers,
-                mp_context=multiprocessing.get_context(self._start_method),
-                initializer=init_worker,
-                initargs=(spec,),
-            )
-            if self._pipeline.backend.capabilities.device_bound:
-                self._verify_worker_probes()
-        return self._pool
-
-    def _verify_worker_probes(self) -> None:
+    def _verify_worker_probes(self, pool) -> None:
         """Refuse to shard a device-bound backend that workers can't probe.
 
         A spawn child re-resolves the pinned ``(backend, device)`` from
@@ -1098,18 +1231,18 @@ class DetectionEngine:
         the pool is only trusted after every worker slot has answered a
         :func:`~repro.detect.shard.probe_shard` round-trip with the same
         backend and device the parent resolved.  Any initializer failure
-        or mismatch tears the pool down and raises with both sides'
+        or mismatch shuts the pool down and raises with both sides'
         probe evidence instead of letting frames silently fall back.
         """
         expected_backend = self._pipeline.backend.name
         expected_device = self._pipeline.compute_device
         parent_report = self._pipeline.probe_report
         parent_path = parent_report.path if parent_report is not None else "(none)"
-        futures = [self._pool.submit(probe_shard) for _ in range(self._workers)]
+        futures = [pool.submit(probe_shard) for _ in range(self._workers)]
         try:
             replies = [f.result() for f in futures]
         except BaseException as exc:
-            self.close()
+            pool.shutdown(wait=True, cancel_futures=True)
             raise ConfigurationError(
                 f"cannot shard device-bound backend {expected_backend!r} "
                 f"({expected_device}) across processes: worker probe failed "
@@ -1120,7 +1253,7 @@ class DetectionEngine:
                 reply["backend"] != expected_backend
                 or reply["device"] != expected_device
             ):
-                self.close()
+                pool.shutdown(wait=True, cancel_futures=True)
                 raise ConfigurationError(
                     f"cannot shard device-bound backend {expected_backend!r} "
                     f"({expected_device}) across processes: worker pid "
@@ -1129,26 +1262,12 @@ class DetectionEngine:
                     f"parent probe path: {parent_path}"
                 )
 
-    def _stash(self, luma: np.ndarray) -> SlotTicket | None:
-        """Place a frame in the shared ring; ``None`` -> pickle fallback.
-
-        The ring is sized on first use: ``max_in_flight`` slots of the
-        first frame's byte size, which the backpressure bound keeps
-        sufficient.  Larger frames arriving later (mixed-resolution
-        streams) ship inline instead.
-        """
-        if self._ring is None:
-            self._ring = SharedFrameRing(self.max_in_flight, int(luma.nbytes))
-        return self._ring.put(luma)
+    # -- the one primitive: a group of same-shaped lanes on one workspace ----
 
     def _checkout(self) -> FrameWorkspace:
         with self._lock:
             if self._free:
                 return self._free.pop()
-        if self._batch:
-            return self._pipeline.make_batch_workspace(
-                tracer=self._tracer, stream=self._fastpath_stream
-            )
         return self._pipeline.make_workspace(
             tracer=self._tracer, stream=self._fastpath_stream
         )
@@ -1157,234 +1276,140 @@ class DetectionEngine:
         with self._lock:
             self._free.append(workspace)
 
-    def _process_one(
-        self, workspace: FrameWorkspace, luma: np.ndarray, mode: ExecutionMode | None
-    ) -> FrameResult:
-        """Process one frame on one worker (overridable for tests)."""
-        return workspace.process_frame(luma, mode)
+    def _span_args(self, index: int, n: int, trace: str | None) -> dict:
+        args: dict = {"frame": index}
+        if self._batch:
+            args["batch"] = n
+        if trace is not None:
+            args["trace"] = trace
+        return args
 
-    def _job(
-        self,
-        index: int,
-        luma: np.ndarray,
-        mode: ExecutionMode | None,
-        submit_ts: float | None = None,
-        trace: str | None = None,
-    ) -> FrameResult:
-        metrics = self._metrics
-        if metrics is not None and submit_ts is not None:
-            metrics.histogram("engine.queue_wait_s").observe(time.perf_counter() - submit_ts)
-        workspace = self._checkout()
-        try:
-            start = time.perf_counter()
-            span_args = (
-                {"frame": index} if trace is None else {"frame": index, "trace": trace}
-            )
-            with self._tracer.span("frame", cat="engine", **span_args):
-                result = self._process_one(workspace, luma, mode)
-            if hasattr(result, "worker"):
-                result.worker = threading.current_thread().name
-            if metrics is not None:
-                metrics.histogram("engine.frame_latency_s").observe(time.perf_counter() - start)
-                metrics.counter("engine.frames").inc()
-                _bridge_frame_metrics(metrics, result)
-            return result
-        finally:
-            self._release(workspace)
+    def _process_group(self, workspace, lumas: list[np.ndarray], mode: ExecutionMode | None):
+        """Run one group on one workspace (overridable for tests)."""
+        return workspace.process_batch(lumas, mode)
 
-    def _batch_job(
+    def _run_group(
         self,
         index: int,
         lumas: list[np.ndarray],
         mode: ExecutionMode | None,
-        submit_ts: float | None = None,
-        trace: str | None = None,
-    ):
-        """Run one device batch on one worker; returns a ``BatchExecution``."""
-        metrics = self._metrics
-        if metrics is not None and submit_ts is not None:
-            metrics.histogram("engine.queue_wait_s").observe(time.perf_counter() - submit_ts)
+        submit_ts: float | None,
+        span_args: dict,
+    ) -> list[FrameResult]:
+        """The inline and thread executors' unit of work.
+
+        Checks out a workspace, runs the group under one ``frame`` span
+        and records its metrics; :func:`~repro.detect.shard.
+        process_shard` is the same step inside a worker process.
+        """
         workspace = self._checkout()
         try:
             start = time.perf_counter()
-            span_args = {"frame": index, "batch": len(lumas)}
-            if trace is not None:
-                span_args["trace"] = trace
             with self._tracer.span("frame", cat="engine", **span_args):
-                execution = workspace.process_batch(lumas, mode)
+                execution = self._process_group(workspace, lumas, mode)
             worker = threading.current_thread().name
             for result in execution.results:
-                result.worker = worker
-            if metrics is not None:
-                self._record_batch_metrics(
-                    metrics, execution, time.perf_counter() - start
-                )
-            return execution
+                if hasattr(result, "worker"):
+                    result.worker = worker
+            queue_wait = None if submit_ts is None else start - submit_ts
+            self._record(execution, time.perf_counter() - start, queue_wait)
+            return execution.results
         finally:
             self._release(workspace)
 
-    def _record_batch_metrics(
-        self, metrics: MetricsRegistry, execution, elapsed: float
-    ) -> None:
-        """Batch-aware metric accounting: amortised latencies, one schedule.
+    def _finish_reply(self, reply: ShardReply) -> list[FrameResult]:
+        """Parent-side completion of one worker group: spans and metrics."""
+        if self._tracer.enabled and reply.spans:
+            self._tracer.extend(reply.spans)
+        self._record(reply.execution, reply.latency_s, reply.queue_wait_s)
+        return reply.execution.results
+
+    def _record(self, execution, elapsed: float, queue_wait: float | None) -> None:
+        """One group's metrics, identical whichever executor ran it.
 
         ``engine.frame_latency_s`` observes the *amortised* per-frame
         time once per frame (so means and percentiles stay per-frame
-        quantities), ``engine.batch_size`` records the formation
-        distribution, and the transfer counters mirror the batch's
+        quantities).  Device-batched engines add ``engine.batch_size``
+        and the ``engine.device_*`` counters mirroring the group's
         :class:`~repro.detect.devicebatch.TransferStats`.
         """
+        metrics = self._metrics
+        if metrics is None:
+            return
+        if queue_wait is not None:
+            metrics.histogram("engine.queue_wait_s").observe(queue_wait)
         n = len(execution.results)
-        per_frame = elapsed / max(n, 1)
         latency = metrics.histogram("engine.frame_latency_s")
         for _ in range(n):
-            latency.observe(per_frame)
+            latency.observe(elapsed / n)
         metrics.counter("engine.frames").inc(n)
-        metrics.counter("engine.batched_frames").inc(n)
-        metrics.histogram("engine.batch_size").observe(n)
-        metrics.counter("engine.device_batches").inc()
-        if execution.fused:
-            metrics.counter("engine.device_batches_fused").inc()
-        transfers = execution.transfers
-        metrics.counter("engine.device_transfers").inc(transfers.h2d + transfers.d2h)
-        metrics.counter("engine.device_transfers_saved").inc(transfers.saved)
-        _bridge_batch_metrics(metrics, execution.results)
+        if self._batch:
+            metrics.counter("engine.batched_frames").inc(n)
+            metrics.histogram("engine.batch_size").observe(n)
+            metrics.counter("engine.device_batches").inc()
+            if execution.fused:
+                metrics.counter("engine.device_batches_fused").inc()
+            transfers = execution.transfers
+            metrics.counter("engine.device_transfers").inc(transfers.h2d + transfers.d2h)
+            metrics.counter("engine.device_transfers_saved").inc(transfers.saved)
+        _bridge_results_metrics(metrics, execution.results)
+
+    # -- the ordered, backpressured window -----------------------------------
 
     def process_frames(
         self, frames: Iterable, mode: ExecutionMode | None = None
     ) -> Iterator[FrameResult]:
         """Yield one :class:`FrameResult` per frame, in input order.
 
-        Output order is the submission order by construction (a FIFO of
-        futures), independent of which worker finishes first — under
-        both thread and process sharding.
-
-        With ``batch_across_frames`` on, consecutive same-shaped frames
-        are fused into device batches of up to :attr:`device_batch`
-        frames first; ordering, backpressure (counted in frames, not
-        batches) and results are unchanged — detections are
-        byte-identical to the per-frame path on bitexact backends.
+        Frames are grouped (groups of one, or device batches of up to
+        :attr:`device_batch` consecutive same-shaped frames with
+        ``batch_across_frames`` on) and each group goes to the executor
+        as one submission.  Output order is the submission order by
+        construction (a FIFO of futures), independent of which worker
+        finishes first.  Backpressure counts frames, not groups: the
+        source is only advanced while fewer than :attr:`max_in_flight`
+        frames are pending.  A dead worker process surfaces as
+        :class:`~repro.errors.WorkerCrashError` — never a hang — and the
+        next run rebuilds the pool.
         """
         mode = mode or self._mode
         metrics = self._metrics
-        if self._batch:
-            if self._workers > 0 and self._sharding is ShardingMode.PROCESSES:
-                yield from self._frames_processes_batched(frames, mode)
-            else:
-                yield from self._frames_batched(frames, mode)
-            return
-        if self._workers > 0 and self._sharding is ShardingMode.PROCESSES:
-            yield from self._frames_processes(frames, mode)
-            return
-        if self._workers == 0:
-            workspace = self._checkout()
-            try:
-                for index, frame in enumerate(frames):
-                    start = time.perf_counter()
-                    with self._tracer.span("frame", cat="engine", frame=index):
-                        result = self._process_one(workspace, _as_luma(frame), mode)
-                    if metrics is not None:
-                        metrics.histogram("engine.frame_latency_s").observe(
-                            time.perf_counter() - start
-                        )
-                        metrics.counter("engine.frames").inc()
-                        _bridge_frame_metrics(metrics, result)
-                    yield result
-            finally:
-                self._release(workspace)
-            return
+        executor = self._ensure_executor()
+        pooled = self._workers > 0
+        # inline groups are already done at submission: emit them at once
+        limit = self.max_in_flight if pooled else 1
+        in_flight = metrics.gauge("engine.in_flight") if metrics is not None and pooled else None
+        # emit wait is a per-frame histogram: only groups of one observe it
+        done_at: dict | None = {} if metrics is not None and pooled and not self._batch else None
+        pending: deque[tuple[Future, int]] = deque()
+        frames_pending = 0
 
-        limit = self.max_in_flight
-        in_flight = metrics.gauge("engine.in_flight") if metrics is not None else None
-        done_at: dict = {}
-        pool = self._ensure_thread_pool()
-        pending: deque = deque()
-
-        def emit() -> FrameResult:
-            future = pending.popleft()
-            result = future.result()
-            if metrics is not None:
+        def emit() -> list[FrameResult]:
+            nonlocal frames_pending
+            future, count = pending.popleft()
+            results = future.result()
+            frames_pending -= count
+            if done_at is not None:
                 done_ts = done_at.pop(future, None)
                 if done_ts is not None:
                     metrics.histogram("engine.emit_wait_s").observe(
                         max(0.0, time.perf_counter() - done_ts)
                     )
-                in_flight.set(len(pending))
-            return result
+            if in_flight is not None:
+                in_flight.set(frames_pending)
+            return results
 
+        max_batch = self.device_batch if self._batch else 1
         try:
-            for index, frame in enumerate(frames):
-                submit_ts = time.perf_counter() if metrics is not None else None
-                future = pool.submit(self._job, index, _as_luma(frame), mode, submit_ts)
-                if metrics is not None:
+            for index, lumas in _iter_groups(frames, max_batch):
+                submit_ts = time.perf_counter() if pooled else None
+                future = executor.submit_batch(
+                    index, lumas, mode, submit_ts, self._span_args(index, len(lumas), None)
+                )
+                if done_at is not None:
                     future.add_done_callback(
                         lambda f: done_at.__setitem__(f, time.perf_counter())
                     )
-                pending.append(future)
-                if in_flight is not None:
-                    in_flight.set(len(pending))
-                if len(pending) >= limit:
-                    yield emit()
-            while pending:
-                yield emit()
-        finally:
-            # The pool is persistent now, so an abandoned generator no
-            # longer waits via executor shutdown; keep the old contract
-            # (no frame still running once the call is over) explicitly.
-            while pending:
-                future = pending.popleft()
-                try:
-                    future.result()
-                except Exception:
-                    pass
-
-    # -- the device-batched paths -------------------------------------------
-
-    def _frames_batched(
-        self, frames: Iterable, mode: ExecutionMode | None
-    ) -> Iterator[FrameResult]:
-        """Inline / thread-sharded frame stream with device batching."""
-        metrics = self._metrics
-        batch_limit = self.device_batch
-        if self._workers == 0:
-            workspace = self._checkout()
-            try:
-                for start_index, lumas in _iter_groups(frames, batch_limit):
-                    start = time.perf_counter()
-                    with self._tracer.span(
-                        "frame", cat="engine", frame=start_index, batch=len(lumas)
-                    ):
-                        execution = workspace.process_batch(lumas, mode)
-                    if metrics is not None:
-                        self._record_batch_metrics(
-                            metrics, execution, time.perf_counter() - start
-                        )
-                    yield from execution.results
-            finally:
-                self._release(workspace)
-            return
-
-        limit = self.max_in_flight
-        in_flight = metrics.gauge("engine.in_flight") if metrics is not None else None
-        pool = self._ensure_thread_pool()
-        pending: deque[tuple[Future, int]] = deque()
-        frames_pending = 0
-
-        def emit() -> list[FrameResult]:
-            nonlocal frames_pending
-            future, count = pending.popleft()
-            execution = future.result()
-            frames_pending -= count
-            if in_flight is not None:
-                in_flight.set(frames_pending)
-            return execution.results
-
-        try:
-            for start_index, lumas in _iter_groups(frames, batch_limit):
-                submit_ts = time.perf_counter() if metrics is not None else None
-                future = pool.submit(
-                    self._batch_job, start_index, lumas, mode, submit_ts
-                )
                 pending.append((future, len(lumas)))
                 frames_pending += len(lumas)
                 if in_flight is not None:
@@ -1394,6 +1419,8 @@ class DetectionEngine:
             while pending:
                 yield from emit()
         finally:
+            # abandoned or failed mid-run: no group is still running (or
+            # holding a ring slot) once the call is over
             while pending:
                 future, _count = pending.popleft()
                 try:
@@ -1401,80 +1428,12 @@ class DetectionEngine:
                 except Exception:
                     pass
 
-    def _frames_processes_batched(
-        self, frames: Iterable, mode: ExecutionMode | None
-    ) -> Iterator[FrameResult]:
-        """Process-sharded frame stream with device batching.
+    def run(self, frames: Iterable, mode: ExecutionMode | None = None) -> EngineRun:
+        """Process every frame and aggregate the batch report."""
+        results = list(self.process_frames(frames, mode))
+        return EngineRun(results=results, report=batch_report(results))
 
-        Same contract as :meth:`_frames_processes`; whole batches ship
-        inline (a fused batch is one pickle, already amortised) instead
-        of through the per-frame shared-memory ring.
-        """
-        metrics = self._metrics
-        tracer = self._tracer
-        limit = self.max_in_flight
-        batch_limit = self.device_batch
-        in_flight = metrics.gauge("engine.in_flight") if metrics is not None else None
-        pool = self._ensure_pool()
-        pending: deque[tuple[Future, int]] = deque()
-        frames_pending = 0
-
-        def crash(exc: BaseException) -> WorkerCrashError:
-            self._abandon_pool(pending)
-            return WorkerCrashError(
-                f"engine worker process died (start method "
-                f"{self._start_method!r}); the pool has been torn down and "
-                f"will be rebuilt on the next run"
-            )
-
-        def emit() -> list[FrameResult]:
-            nonlocal frames_pending
-            future, count = pending.popleft()
-            try:
-                reply = future.result()
-            except BrokenProcessPool as exc:
-                raise crash(exc) from exc
-            frames_pending -= count
-            if tracer.enabled and reply.spans:
-                tracer.extend(reply.spans)
-            if metrics is not None:
-                metrics.histogram("engine.queue_wait_s").observe(reply.queue_wait_s)
-                self._record_batch_metrics(metrics, reply.execution, reply.latency_s)
-                in_flight.set(frames_pending)
-            return reply.execution.results
-
-        try:
-            for start_index, lumas in _iter_groups(frames, batch_limit):
-                submit_ts = time.perf_counter()
-                try:
-                    future = pool.submit(
-                        process_shard_batch, start_index, lumas, mode, submit_ts
-                    )
-                except BrokenProcessPool as exc:
-                    raise crash(exc) from exc
-                pending.append((future, len(lumas)))
-                frames_pending += len(lumas)
-                if in_flight is not None:
-                    in_flight.set(frames_pending)
-                while pending and frames_pending >= limit:
-                    yield from emit()
-            while pending:
-                yield from emit()
-        finally:
-            while pending:
-                future, _count = pending.popleft()
-                try:
-                    future.result()
-                except Exception:
-                    pass
-
-    # -- the long-lived submission hook -------------------------------------
-
-    def _track(self, future: Future) -> Future:
-        with self._lock:
-            self._outstanding.add(future)
-        future.add_done_callback(self._untrack)
-        return future
+    # -- the long-lived submission hooks --------------------------------------
 
     def _untrack(self, future: Future) -> None:
         with self._lock:
@@ -1487,115 +1446,12 @@ class DetectionEngine:
         *,
         trace: str | None = None,
     ) -> "Future[FrameResult]":
-        """Submit one frame to the persistent worker pool; returns a future.
+        """Submit one frame to the persistent executor; returns a future.
 
-        The long-lived feeding hook for callers that do not have their
-        whole frame stream up front (the serving micro-batcher): unlike
-        :meth:`process_frames` it never rebuilds executors or
-        workspaces per call — both persist until :meth:`close` — and it
-        applies **no backpressure**; the caller owns admission control.
-        Results carry no ordering guarantee beyond the returned future.
-
-        ``trace`` is the request's trace id: it is attached to the
-        worker-side ``frame`` span (thread *and* process sharding, so
-        the merged Chrome trace carries it) and the returned result's
-        ``worker`` field names the thread or worker pid that ran it.
-
-        Under process sharding the frame rides the shared-memory ring
-        when a slot is free (falling back to pickle transport when the
-        ring is saturated, since an unbounded submitter is not covered
-        by the ``max_in_flight`` slot bound), and a dead worker resolves
-        the future with :class:`~repro.errors.WorkerCrashError`.
+        ``submit_batch([frame])[0]``: the long-lived feeding hook for
+        callers that do not have their whole frame stream up front.
         """
-        mode = mode or self._mode
-        luma = np.asarray(_as_luma(frame))
-        with self._lock:
-            index = self._submit_count
-            self._submit_count += 1
-        if self._workers > 0 and self._sharding is ShardingMode.PROCESSES:
-            return self._submit_process(index, luma, mode, trace)
-        submit_ts = time.perf_counter() if self._metrics is not None else None
-        if self._workers == 0:
-            future: Future = Future()
-            try:
-                future.set_result(self._job(index, luma, mode, submit_ts, trace))
-            except Exception as exc:  # surfaced through the future, like a pool
-                future.set_exception(exc)
-            return future
-        return self._track(
-            self._ensure_thread_pool().submit(
-                self._job, index, luma, mode, submit_ts, trace
-            )
-        )
-
-    def _submit_process(
-        self,
-        index: int,
-        luma: np.ndarray,
-        mode: ExecutionMode | None,
-        trace: str | None = None,
-    ) -> "Future[FrameResult]":
-        pool = self._ensure_pool()
-        if self._ring is None:
-            self._ring = SharedFrameRing(self.max_in_flight, int(luma.nbytes))
-        ring = self._ring
-        ticket = ring.put(luma) if ring.free_slots > 0 else None
-        submit_ts = time.perf_counter()
-        outer: Future = Future()
-
-        def _release(t: SlotTicket | None) -> None:
-            if t is not None and self._ring is ring:
-                ring.release(t)
-
-        try:
-            inner = pool.submit(
-                process_shard,
-                index,
-                ticket,
-                None if ticket is not None else luma,
-                mode,
-                submit_ts,
-                trace,
-            )
-        except BrokenProcessPool as exc:
-            _release(ticket)
-            self._abandon_pool(deque())
-            raise WorkerCrashError(
-                f"engine worker process died (start method {self._start_method!r}); "
-                f"the pool has been torn down and will be rebuilt on the next run"
-            ) from exc
-
-        def _complete(f: Future) -> None:
-            try:
-                reply: ShardReply = f.result()
-            except BrokenProcessPool as exc:
-                _release(ticket)
-                self._abandon_pool(deque())
-                crash = WorkerCrashError(
-                    f"engine worker process died (start method "
-                    f"{self._start_method!r}); the pool has been torn down "
-                    f"and will be rebuilt on the next run"
-                )
-                crash.__cause__ = exc
-                outer.set_exception(crash)
-                return
-            except Exception as exc:
-                _release(ticket)
-                outer.set_exception(exc)
-                return
-            _release(ticket)
-            if self._tracer.enabled and reply.spans:
-                self._tracer.extend(reply.spans)
-            metrics = self._metrics
-            if metrics is not None:
-                metrics.histogram("engine.queue_wait_s").observe(reply.queue_wait_s)
-                metrics.histogram("engine.frame_latency_s").observe(reply.latency_s)
-                metrics.counter("engine.frames").inc()
-                _bridge_frame_metrics(metrics, reply.result)
-            outer.set_result(reply.result)
-
-        inner.add_done_callback(_complete)
-        return self._track(outer)
+        return self.submit_batch([frame], mode, traces=[trace])[0]
 
     def submit_batch(
         self,
@@ -1604,141 +1460,52 @@ class DetectionEngine:
         *,
         traces: list[str | None] | None = None,
     ) -> "list[Future[FrameResult]]":
-        """Submit a coalesced request batch as device batches; one future each.
+        """Submit a coalesced request batch; one future per frame.
 
-        The serving micro-batcher's hook: its already-coalesced window
-        of requests fuses into device batches (consecutive same-shaped
-        frames, up to :attr:`device_batch` per batch) instead of N
-        independent :meth:`submit` calls.  Futures resolve in any order
-        but map 1:1 onto ``frames``; when ``batch_across_frames`` is
-        off, this degrades to a plain per-frame :meth:`submit` loop.
-        Like :meth:`submit`, no backpressure — admission control stays
-        with the caller.
+        The serving micro-batcher's hook.  Frames are grouped exactly as
+        in :meth:`process_frames` (device batches with
+        ``batch_across_frames`` on, groups of one otherwise) and each
+        group's results fan out to per-frame futures, which resolve in
+        any order but map 1:1 onto ``frames``.  Unlike
+        :meth:`process_frames` it never rebuilds executors or workspaces
+        per call — both persist until :meth:`close` — and it applies
+        **no backpressure**; the caller owns admission control.
+
+        ``traces`` carries each frame's request trace id: a group's
+        first non-``None`` id is attached to its worker-side ``frame``
+        span (thread *and* process sharding, so the merged Chrome trace
+        carries it), and each result's ``worker`` field names the thread
+        or worker pid that ran it.  Under process sharding lanes ride
+        the shared-memory ring while a slot is free (pickle transport
+        otherwise), and a dead worker resolves every future of its group
+        with :class:`~repro.errors.WorkerCrashError`.
         """
         mode = mode or self._mode
-        lumas = [np.asarray(_as_luma(frame)) for frame in frames]
+        lumas = [_as_luma(frame) for frame in frames]
         if traces is not None and len(traces) != len(lumas):
             raise ConfigurationError(
                 f"traces ({len(traces)}) must match frames ({len(lumas)})"
             )
-        if not self._batch:
-            trace_list = traces if traces is not None else [None] * len(lumas)
-            return [
-                self.submit(luma, mode, trace=trace)
-                for luma, trace in zip(lumas, trace_list)
-            ]
-        futures: "list[Future[FrameResult]]" = [Future() for _ in lumas]
-        for start_index, group in _iter_groups(lumas, self.device_batch):
-            outer = futures[start_index : start_index + len(group)]
-            trace = None
-            if traces is not None:
-                trace = next(
-                    (
-                        t
-                        for t in traces[start_index : start_index + len(group)]
-                        if t is not None
-                    ),
-                    None,
-                )
-            self._dispatch_batch(group, mode, trace, outer)
-        return futures
-
-    def _dispatch_batch(
-        self,
-        lumas: list[np.ndarray],
-        mode: ExecutionMode | None,
-        trace: str | None,
-        outer: "list[Future[FrameResult]]",
-    ) -> None:
-        with self._lock:
-            index = self._submit_count
-            self._submit_count += len(lumas)
-        for future in outer:
-            self._track(future)
-
-        def fan_out(execution) -> None:
-            for future, result in zip(outer, execution.results):
-                future.set_result(result)
-
-        def fail_all(exc: BaseException) -> None:
+        executor = self._ensure_executor()
+        max_batch = self.device_batch if self._batch else 1
+        futures: "list[Future[FrameResult]]" = []
+        for start, group in _iter_groups(lumas, max_batch):
+            group_traces = traces[start : start + len(group)] if traces else ()
+            trace = next((t for t in group_traces if t is not None), None)
+            with self._lock:
+                index = self._submit_count
+                self._submit_count += len(group)
+            inner = executor.submit_batch(
+                index, group, mode, time.perf_counter(), self._span_args(index, len(group), trace)
+            )
+            outer = [Future() for _ in group]
+            with self._lock:
+                self._outstanding.update(outer)
             for future in outer:
-                if not future.done():
-                    future.set_exception(exc)
-
-        if self._workers > 0 and self._sharding is ShardingMode.PROCESSES:
-            self._dispatch_batch_process(index, lumas, mode, trace, fan_out, fail_all)
-            return
-        submit_ts = time.perf_counter() if self._metrics is not None else None
-        if self._workers == 0:
-            try:
-                execution = self._batch_job(index, lumas, mode, submit_ts, trace)
-            except Exception as exc:
-                fail_all(exc)
-            else:
-                fan_out(execution)
-            return
-        inner = self._ensure_thread_pool().submit(
-            self._batch_job, index, lumas, mode, submit_ts, trace
-        )
-
-        def _complete(f: Future) -> None:
-            try:
-                execution = f.result()
-            except Exception as exc:
-                fail_all(exc)
-                return
-            fan_out(execution)
-
-        inner.add_done_callback(_complete)
-
-    def _dispatch_batch_process(
-        self,
-        index: int,
-        lumas: list[np.ndarray],
-        mode: ExecutionMode | None,
-        trace: str | None,
-        fan_out,
-        fail_all,
-    ) -> None:
-        pool = self._ensure_pool()
-        submit_ts = time.perf_counter()
-
-        def crash(exc: BaseException) -> WorkerCrashError:
-            self._abandon_pool(deque())
-            err = WorkerCrashError(
-                f"engine worker process died (start method "
-                f"{self._start_method!r}); the pool has been torn down "
-                f"and will be rebuilt on the next run"
-            )
-            err.__cause__ = exc
-            return err
-
-        try:
-            inner = pool.submit(
-                process_shard_batch, index, lumas, mode, submit_ts, trace
-            )
-        except BrokenProcessPool as exc:
-            fail_all(crash(exc))
-            return
-
-        def _complete(f: Future) -> None:
-            try:
-                reply = f.result()
-            except BrokenProcessPool as exc:
-                fail_all(crash(exc))
-                return
-            except Exception as exc:
-                fail_all(exc)
-                return
-            if self._tracer.enabled and reply.spans:
-                self._tracer.extend(reply.spans)
-            metrics = self._metrics
-            if metrics is not None:
-                metrics.histogram("engine.queue_wait_s").observe(reply.queue_wait_s)
-                self._record_batch_metrics(metrics, reply.execution, reply.latency_s)
-            fan_out(reply.execution)
-
-        inner.add_done_callback(_complete)
+                future.add_done_callback(self._untrack)
+            inner.add_done_callback(partial(_fan_out, outer))
+            futures.extend(outer)
+        return futures
 
     def drain(self) -> None:
         """Block until every :meth:`submit`-ted frame has completed.
@@ -1754,121 +1521,14 @@ class DetectionEngine:
                 return
             futures_wait(pending)
 
-    # -- the process-sharded path -------------------------------------------
 
-    def _frames_processes(
-        self, frames: Iterable, mode: ExecutionMode | None
-    ) -> Iterator[FrameResult]:
-        """Shard frames across the persistent worker-process pool.
-
-        Identical contract to the threaded path: FIFO futures give
-        ordered output, ``max_in_flight`` bounds both the pending window
-        and the ring occupancy (slot acquired at submit, released at
-        emit).  A dead worker surfaces as :class:`~repro.errors.
-        WorkerCrashError` — never a hang — and poisons neither the
-        engine (pool and ring are rebuilt on the next run) nor the
-        caller's other engines.
-        """
-        metrics = self._metrics
-        tracer = self._tracer
-        limit = self.max_in_flight
-        in_flight = metrics.gauge("engine.in_flight") if metrics is not None else None
-        pool = self._ensure_pool()
-        pending: deque[tuple] = deque()
-        done_at: dict = {}
-
-        def emit() -> FrameResult:
-            future, ticket = pending.popleft()
-            try:
-                reply: ShardReply = future.result()
-            except BrokenProcessPool as exc:
-                self._abandon_pool(pending)
-                raise WorkerCrashError(
-                    f"engine worker process died (start method "
-                    f"{self._start_method!r}); the pool has been torn down and "
-                    f"will be rebuilt on the next run"
-                ) from exc
-            finally:
-                if ticket is not None and self._ring is not None:
-                    self._ring.release(ticket)
-            if tracer.enabled and reply.spans:
-                tracer.extend(reply.spans)
-            if metrics is not None:
-                done_ts = done_at.pop(future, None)
-                if done_ts is not None:
-                    metrics.histogram("engine.emit_wait_s").observe(
-                        max(0.0, time.perf_counter() - done_ts)
-                    )
-                metrics.histogram("engine.queue_wait_s").observe(reply.queue_wait_s)
-                metrics.histogram("engine.frame_latency_s").observe(reply.latency_s)
-                metrics.counter("engine.frames").inc()
-                _bridge_frame_metrics(metrics, reply.result)
-                in_flight.set(len(pending))
-            return reply.result
-
-        try:
-            for index, frame in enumerate(frames):
-                luma = np.asarray(_as_luma(frame))
-                ticket = self._stash(luma)
-                submit_ts = time.perf_counter()
-                try:
-                    future = pool.submit(
-                        process_shard,
-                        index,
-                        ticket,
-                        None if ticket is not None else luma,
-                        mode,
-                        submit_ts,
-                    )
-                except BrokenProcessPool as exc:
-                    # the crash can surface here first: a dead worker marks
-                    # the pool broken before the victim future is emitted
-                    if ticket is not None and self._ring is not None:
-                        self._ring.release(ticket)
-                    self._abandon_pool(pending)
-                    raise WorkerCrashError(
-                        f"engine worker process died (start method "
-                        f"{self._start_method!r}); the pool has been torn "
-                        f"down and will be rebuilt on the next run"
-                    ) from exc
-                if metrics is not None:
-                    future.add_done_callback(
-                        lambda f: done_at.__setitem__(f, time.perf_counter())
-                    )
-                pending.append((future, ticket))
-                if in_flight is not None:
-                    in_flight.set(len(pending))
-                if len(pending) >= limit:
-                    yield emit()
-            while pending:
-                yield emit()
-        finally:
-            if pending:
-                # the consumer abandoned the generator mid-run: workers may
-                # still be reading their slots, so drain before releasing
-                self._drain_abandoned(pending)
-
-    def _drain_abandoned(self, pending: deque) -> None:
-        while pending:
-            future, ticket = pending.popleft()
-            try:
-                future.result()
-            except Exception:
-                pass
-            if ticket is not None and self._ring is not None:
-                self._ring.release(ticket)
-
-    def _abandon_pool(self, pending: deque) -> None:
-        """After a worker crash: tear everything down for a clean rebuild."""
-        pending.clear()
-        pool, self._pool = self._pool, None
-        ring, self._ring = self._ring, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        if ring is not None:
-            ring.close()
-
-    def run(self, frames: Iterable, mode: ExecutionMode | None = None) -> EngineRun:
-        """Process every frame and aggregate the batch report."""
-        results = list(self.process_frames(frames, mode))
-        return EngineRun(results=results, report=batch_report(results))
+def _fan_out(outer: "list[Future[FrameResult]]", inner: Future) -> None:
+    """Resolve a group's per-frame futures from its group future."""
+    try:
+        results = inner.result()
+    except Exception as exc:
+        for future in outer:
+            future.set_exception(exc)
+        return
+    for future, result in zip(outer, results):
+        future.set_result(result)

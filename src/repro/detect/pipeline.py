@@ -308,37 +308,21 @@ class FaceDetectionPipeline:
         )
 
     def make_workspace(self, tracer: Tracer | None = None, stream: str | None = "default"):
-        """A reusable per-worker :class:`~repro.detect.engine.FrameWorkspace`.
+        """A reusable per-worker :class:`~repro.detect.devicebatch.BatchFrameWorkspace`.
 
         The workspace caches every expensive frame-independent artefact
         (pyramid resampling plans, block mappings, launch templates with
         precomputed cost cohorts, scratch buffers) across frames, and its
         functional output is float-identical to :meth:`process_frame`.
-        ``tracer`` overrides the pipeline's own span tracer.  ``stream``
-        names the video stream whose consecutive frames the fast path's
-        temporal delta cache may diff; ``None`` disables temporal reuse
-        (unrelated frames — e.g. serving requests — must never delta
-        against each other) while the stateless proposal screen still
-        applies under the ``fast`` policy.
-        """
-        from repro.detect.engine import FrameWorkspace
-
-        return FrameWorkspace(
-            self,
-            tracer=tracer if tracer is not None else self._tracer,
-            stream=stream,
-        )
-
-    def make_batch_workspace(
-        self, tracer: Tracer | None = None, stream: str | None = "default"
-    ):
-        """A workspace that can also fuse N frames into one device batch.
-
-        A strict superset of :meth:`make_workspace`: the returned
-        :class:`~repro.detect.devicebatch.BatchFrameWorkspace` processes
-        single frames identically and adds ``process_batch``, which runs
-        same-shaped frames through the backend's fused batch kernels
-        under one fused simulated schedule.
+        Its ``process_batch`` additionally runs N same-shaped frames
+        through the backend's fused batch kernels under one fused
+        simulated schedule.  ``tracer`` overrides the pipeline's own span
+        tracer.  ``stream`` names the video stream whose consecutive
+        frames the fast path's temporal delta cache may diff; ``None``
+        disables temporal reuse (unrelated frames — e.g. serving
+        requests — must never delta against each other) while the
+        stateless proposal screen still applies under the ``fast``
+        policy.
         """
         from repro.detect.devicebatch import BatchFrameWorkspace
 

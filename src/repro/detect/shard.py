@@ -5,8 +5,10 @@ FrameWorkspace`, mirroring the paper's resident per-stream kernel state:
 the pool initializer (:func:`init_worker`) builds the pipeline *once*
 from a picklable :class:`~repro.detect.pipeline.PipelineSpec` — cascade
 re-encoded to constant memory locally, backend re-resolved from the
-registry — and every subsequent frame only ships a tiny
-:class:`~repro.video.shm.SlotTicket` in and a :class:`ShardReply` out.
+registry — and every subsequent group of frames (one frame, or one
+device batch) ships through the single worker function
+:func:`process_shard`: a tiny :class:`~repro.video.shm.SlotTicket` per
+lane in, one :class:`ShardReply` out.
 
 Everything here must stay importable by ``spawn`` children with no
 engine state attached: module-level functions only (``fork`` would
@@ -15,14 +17,15 @@ defaults to everywhere — does not).
 
 Tracing: the worker's tracer is constructed with the *parent's* origin
 (``perf_counter`` reads a system-wide monotonic clock), so spans land on
-the parent timeline directly; each reply carries the frame's spans
+the parent timeline directly; each reply carries the group's spans
 re-tagged with the worker pid, giving the merged Chrome trace one lane
 per worker process.
 
 Fault injection: ``REPRO_ENGINE_TEST_CRASH_INDEX`` (hard-kill the worker
 at frame N) and ``REPRO_ENGINE_TEST_DELAY_S`` (``"idx:seconds,..."``
-per-frame sleeps) let the tests exercise crash surfacing and
-out-of-order completion through real process boundaries.
+per-frame sleeps) fire on any lane of any group, so the tests exercise
+crash surfacing and out-of-order completion through real process
+boundaries for single frames and device batches alike.
 """
 
 from __future__ import annotations
@@ -30,23 +33,23 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.detect.pipeline import FrameResult, PipelineSpec
+from repro.detect.pipeline import PipelineSpec
 from repro.errors import ConfigurationError
 from repro.gpusim.scheduler import ExecutionMode
 from repro.obs.tracer import Span, Tracer
 from repro.video.shm import SlotTicket, attach_view
 
+if TYPE_CHECKING:  # devicebatch imports the engine, which imports this module
+    from repro.detect.devicebatch import BatchExecution
+
 __all__ = [
     "WorkerSpec",
     "ShardReply",
-    "ShardBatchReply",
     "init_worker",
     "probe_shard",
     "process_shard",
-    "process_shard_batch",
 ]
 
 CRASH_INDEX_ENV = "REPRO_ENGINE_TEST_CRASH_INDEX"
@@ -65,45 +68,27 @@ class WorkerSpec:
     #: fast-path stream identity for the workspace's temporal delta
     #: cache (``None`` disables temporal reuse in this worker)
     stream: str | None = "default"
-    #: build a batch-capable workspace so the worker can serve fused
-    #: device batches (:func:`process_shard_batch`) as well as frames
-    device_batch: bool = False
 
 
 @dataclass
 class ShardReply:
-    """One processed frame coming back from a worker process."""
-
-    index: int
-    result: FrameResult
-    pid: int
-    #: submit-to-start wait measured on the shared monotonic clock
-    queue_wait_s: float
-    #: worker-side processing time for this frame
-    latency_s: float
-    #: this frame's spans, pid-tagged and on the parent timeline
-    spans: list[Span] | None = None
-
-
-@dataclass
-class ShardBatchReply:
-    """One fused device batch coming back from a worker process.
+    """One group of lanes coming back from a worker process.
 
     ``execution`` is the worker's whole
-    :class:`~repro.detect.devicebatch.BatchExecution`; pickling keeps
-    the fused schedule *shared* across the batch's results (references
+    :class:`~repro.detect.devicebatch.BatchExecution`; pickling keeps a
+    fused schedule *shared* across the group's results (references
     within one pickle are preserved), so the parent's batch-aware
     aggregation still counts it once.
     """
 
     index: int
-    execution: object
+    execution: BatchExecution
     pid: int
     #: submit-to-start wait measured on the shared monotonic clock
     queue_wait_s: float
-    #: worker-side processing time for the whole batch
+    #: worker-side processing time for the whole group
     latency_s: float
-    #: the batch's spans, pid-tagged and on the parent timeline
+    #: the group's spans, pid-tagged and on the parent timeline
     spans: list[Span] | None = None
 
 
@@ -116,12 +101,7 @@ def init_worker(spec: WorkerSpec) -> None:
     """Pool initializer: build the resident workspace for this process."""
     tracer = Tracer(enabled=spec.tracing, origin=spec.trace_origin)
     pipeline = spec.pipeline.build(tracer=tracer)
-    if spec.device_batch:
-        _STATE["workspace"] = pipeline.make_batch_workspace(
-            tracer=tracer, stream=spec.stream
-        )
-    else:
-        _STATE["workspace"] = pipeline.make_workspace(tracer=tracer, stream=spec.stream)
+    _STATE["workspace"] = pipeline.make_workspace(tracer=tracer, stream=spec.stream)
     _STATE["tracer"] = tracer
     _STATE["crash_index"] = _parse_crash_index()
     _STATE["delays"] = _parse_delays()
@@ -186,80 +166,36 @@ def _pid_tagged(spans: list[Span], pid: int) -> list[Span]:
 
 def process_shard(
     index: int,
-    ticket: SlotTicket | None,
-    inline_luma: np.ndarray | None,
+    lanes: list,
     mode: ExecutionMode | None,
     submit_ts: float,
-    trace: str | None = None,
+    span_args: dict,
 ) -> ShardReply:
-    """Process one frame inside a pool worker.
+    """Run one group of same-shaped lanes inside a pool worker.
 
-    ``ticket`` points at the frame's pixels in the shared ring (the fast
-    path); ``inline_luma`` is the pickle fallback for frames that did
-    not fit a slot.  Exactly one of the two is set.  ``trace`` is the
-    request's trace id under serving — it lands on the worker's
-    ``frame`` span (and therefore in the merged Chrome trace) and on the
-    reply's result for request attribution in the server's log.
+    The worker-side twin of the engine's thread/inline group step.
+    Each lane is a :class:`~repro.video.shm.SlotTicket` into the shared
+    ring or, when no slot was free, the pickled array itself; lane ``i``
+    is frame ``index + i``.  ``span_args`` is the parent-built argument
+    set of the group's ``frame`` span (index, device-batch size, the
+    request's trace id under serving), so the merged Chrome trace reads
+    the same whichever executor ran the group.
     """
     workspace = _STATE.get("workspace")
     if workspace is None:
         raise ConfigurationError("worker used before init_worker ran")
     start = time.perf_counter()
-    if _STATE["crash_index"] == index:
-        # fault injection: die the way a real segfault/OOM kill would —
-        # no exception, no cleanup — so the engine's crash surfacing is
-        # tested against the worst case, not a polite error.
-        os._exit(1)
-    delay = _STATE["delays"].get(index)
-    if delay:
-        time.sleep(delay)
-    luma = attach_view(ticket) if ticket is not None else inline_luma
+    for lane in range(index, index + len(lanes)):
+        if _STATE["crash_index"] == lane:
+            # fault injection: die the way a real segfault/OOM kill would —
+            # no exception, no cleanup — so the engine's crash surfacing is
+            # tested against the worst case, not a polite error.
+            os._exit(1)
+        delay = _STATE["delays"].get(lane)
+        if delay:
+            time.sleep(delay)
+    lumas = [attach_view(lane) if isinstance(lane, SlotTicket) else lane for lane in lanes]
     tracer: Tracer = _STATE["tracer"]
-    span_args = {"frame": index} if trace is None else {"frame": index, "trace": trace}
-    with tracer.span("frame", cat="engine", **span_args):
-        result = workspace.process_frame(luma, mode)
-    result.worker = f"pid {os.getpid()}"
-    latency = time.perf_counter() - start
-    spans = None
-    if tracer.enabled:
-        spans = _pid_tagged(tracer.drain(), os.getpid())
-    return ShardReply(
-        index=index,
-        result=result,
-        pid=os.getpid(),
-        queue_wait_s=max(0.0, start - submit_ts),
-        latency_s=latency,
-        spans=spans,
-    )
-
-
-def process_shard_batch(
-    index: int,
-    lumas: list[np.ndarray],
-    mode: ExecutionMode | None,
-    submit_ts: float,
-    trace: str | None = None,
-) -> ShardBatchReply:
-    """Process one fused device batch inside a pool worker.
-
-    ``index`` is the first frame's index (the batch covers
-    ``index .. index + len(lumas) - 1``).  Batches ship inline — one
-    pickle per batch is already the amortised transport — rather than
-    through the per-frame shared-memory ring.
-    """
-    workspace = _STATE.get("workspace")
-    if workspace is None:
-        raise ConfigurationError("worker used before init_worker ran")
-    if not hasattr(workspace, "process_batch"):
-        raise ConfigurationError(
-            "worker was not initialised for device batching "
-            "(WorkerSpec.device_batch is off)"
-        )
-    start = time.perf_counter()
-    tracer: Tracer = _STATE["tracer"]
-    span_args = {"frame": index, "batch": len(lumas)}
-    if trace is not None:
-        span_args["trace"] = trace
     with tracer.span("frame", cat="engine", **span_args):
         execution = workspace.process_batch(lumas, mode)
     pid = os.getpid()
@@ -269,7 +205,7 @@ def process_shard_batch(
     spans = None
     if tracer.enabled:
         spans = _pid_tagged(tracer.drain(), pid)
-    return ShardBatchReply(
+    return ShardReply(
         index=index,
         execution=execution,
         pid=pid,

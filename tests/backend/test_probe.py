@@ -212,19 +212,16 @@ class TestShardHandshake:
                 "probe_path": "fake"}
 
     def test_matching_probes_pass(self, engine):
-        engine._pool = _FakePool([self._reply(), self._reply()])
-        engine._verify_worker_probes()  # must not raise
+        engine._verify_worker_probes(_FakePool([self._reply(), self._reply()]))
 
     def test_device_mismatch_refused(self, engine):
         pool = _FakePool([self._reply(), self._reply(device="cpu")])
-        engine._pool = pool
         with pytest.raises(ConfigurationError, match="cannot shard device-bound"):
-            engine._verify_worker_probes()
+            engine._verify_worker_probes(pool)
         assert pool.shut_down
 
     def test_worker_probe_failure_refused(self, engine):
         pool = _FakePool([self._reply(), RuntimeError("worker died")])
-        engine._pool = pool
         with pytest.raises(ConfigurationError, match="worker probe failed"):
-            engine._verify_worker_probes()
+            engine._verify_worker_probes(pool)
         assert pool.shut_down

@@ -6,8 +6,8 @@ detections with batching on or off, on every sharding mode (serial,
 threads, processes), through both ``process_frames`` and
 ``submit_batch``.  The ``vectorized`` backend is the identity surface;
 the ``arrayapi`` backend (``exactness="tolerance"``) is held to the
-detection-level IoU/score gate instead.  Unit tests pin the batch-plan
-grouping, the launch-fusion helpers and the transfer accounting the
+detection-level IoU/score gate instead.  Unit tests pin the engine's
+frame grouping, the launch-fusion helpers and the transfer accounting the
 ``BENCH_devicebatch.json`` columns are built from.
 """
 
@@ -16,12 +16,11 @@ import pytest
 
 from repro.backend.oracle import ToleranceSpec, _diff_detections
 from repro.detect.devicebatch import (
-    BatchPlan,
     TransferStats,
     concat_launches,
     fuse_uniform_launch,
 )
-from repro.detect.engine import DetectionEngine, batch_report
+from repro.detect.engine import DetectionEngine, _iter_groups, batch_report
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.errors import ConfigurationError
 from repro.image.filtering import filtering_launch
@@ -73,25 +72,34 @@ def _assert_identical(reference, candidate):
 
 
 class TestBatchPlan:
+    """The engine's one grouping rule (``_iter_groups``)."""
+
+    @staticmethod
+    def _groups(shapes, max_batch):
+        frames = [np.zeros(shape, dtype=np.float32) for shape in shapes]
+        return [
+            (start, len(lumas), lumas[0].shape)
+            for start, lumas in _iter_groups(frames, max_batch)
+        ]
+
     def test_groups_consecutive_same_shapes(self):
         shapes = [(96, 96)] * 5 + [(48, 48)] * 2 + [(96, 96)]
-        plan = BatchPlan.plan(shapes, max_batch=8)
-        assert [(g.start, g.count, g.shape) for g in plan.groups] == [
+        assert self._groups(shapes, max_batch=8) == [
             (0, 5, (96, 96)),
             (5, 2, (48, 48)),
             (7, 1, (96, 96)),
         ]
 
     def test_caps_at_max_batch(self):
-        plan = BatchPlan.plan([(64, 64)] * 10, max_batch=4)
-        assert [g.count for g in plan.groups] == [4, 4, 2]
-        assert [list(g.indices) for g in plan.groups] == [
+        groups = self._groups([(64, 64)] * 10, max_batch=4)
+        assert [count for _, count, _ in groups] == [4, 4, 2]
+        assert [list(range(start, start + count)) for start, count, _ in groups] == [
             [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]
         ]
 
-    def test_rejects_bad_max_batch(self):
+    def test_rejects_bad_max_batch(self, pipeline):
         with pytest.raises(ConfigurationError):
-            BatchPlan.plan([(64, 64)], max_batch=0)
+            DetectionEngine(pipeline, batch_across_frames=True, device_batch=0)
 
 
 class TestTransferStats:

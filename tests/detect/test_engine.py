@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.detect.devicebatch import BatchExecution
 from repro.detect.engine import DetectionEngine, batch_report
 from repro.detect.pipeline import FaceDetectionPipeline
 from repro.errors import ConfigurationError
@@ -107,13 +108,14 @@ class _ScrambledEngine(DetectionEngine):
         self.started = []
         self._lock2 = threading.Lock()
 
-    def _process_one(self, workspace, luma, mode):
+    def _process_group(self, workspace, lumas, mode):
+        (luma,) = lumas
         index = int(luma[0, 0])
         with self._lock2:
             self.started.append(index)
         # earlier frames sleep longer, so completion order inverts
         time.sleep(0.05 * (4 - index) / 4)
-        return index
+        return BatchExecution(results=[index], schedule=None)
 
 
 class TestOrdering:

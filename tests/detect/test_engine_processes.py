@@ -108,7 +108,7 @@ class TestOrdering:
         # drain fully, then the ring must be back to all-free: every slot
         # acquired at submit was released at emit
         list(engine.process_frames(iter(frames)))
-        ring = engine._ring
+        ring = engine._executor.ring
         assert ring is not None
         assert ring.free_slots == ring.slots
         assert ring.slots == engine.max_in_flight
@@ -135,6 +135,35 @@ class TestCrashSurfacing:
         with DetectionEngine(pipeline, workers=1, sharding="processes") as engine:
             with pytest.raises(WorkerCrashError):
                 list(engine.process_frames(iter(frames[:2])))
+
+
+class TestCrashMidBatch:
+    def test_crash_inside_device_batch(self, pipeline, frames, monkeypatch):
+        # frame 2 is a lane inside the first device batch of 4
+        monkeypatch.setenv(CRASH_INDEX_ENV, "2")
+        with DetectionEngine(
+            pipeline,
+            workers=2,
+            sharding="processes",
+            batch_across_frames=True,
+            device_batch=4,
+        ) as engine:
+            with pytest.raises(WorkerCrashError, match="worker process died"):
+                list(engine.process_frames(iter(frames)))
+
+            # submit_batch rebuilds the pool; lane 2 dies again and every
+            # future of that batch resolves with the crash, none hangs
+            futures = engine.submit_batch(frames[:4])
+            for future in futures:
+                with pytest.raises(WorkerCrashError):
+                    future.result(timeout=60)
+
+            monkeypatch.delenv(CRASH_INDEX_ENV)
+            reference = [pipeline.process_frame(f) for f in frames]
+            out = list(engine.process_frames(iter(frames)))
+            assert [_detections(r) for r in out] == [
+                _detections(r) for r in reference
+            ]
 
 
 class TestModeSelection:

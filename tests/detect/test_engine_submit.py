@@ -69,12 +69,12 @@ class TestPersistentPools:
     def test_thread_pool_survives_across_calls(self, pipeline, frames):
         with DetectionEngine(pipeline, workers=2) as engine:
             list(engine.process_frames(iter(frames)))
-            pool = engine._thread_pool
+            pool = engine._executor
             assert pool is not None
             list(engine.process_frames(iter(frames)))
             engine.submit(frames[0]).result()
-            assert engine._thread_pool is pool
-        assert engine._thread_pool is None  # close() tears it down
+            assert engine._executor is pool
+        assert engine._executor is None  # close() tears it down
 
     def test_workspaces_cached_across_calls(self, pipeline, frames, monkeypatch):
         built = []

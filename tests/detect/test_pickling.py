@@ -3,7 +3,7 @@
 Process sharding ships objects through ``spawn`` workers: the
 :class:`~repro.detect.pipeline.PipelineSpec` rides in the pool
 initializer, :class:`~repro.video.shm.SlotTicket` and
-:class:`~repro.detect.shard.ShardReply` cross per frame, and traced
+:class:`~repro.detect.shard.ShardReply` cross per group, and traced
 runs ship :class:`~repro.obs.tracer.Span` lists back.  A single stored
 lambda or open handle anywhere in those graphs turns into an opaque
 ``BrokenProcessPool`` at runtime — these tests pin the pickling
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import zoo
+from repro.detect.devicebatch import BatchExecution
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig, PipelineSpec
 from repro.detect.shard import ShardReply
 from repro.obs.tracer import Span
@@ -103,7 +104,7 @@ def test_shard_reply_roundtrip():
     luma = next(iter(synthetic_stream(96, 72, 1, faces=1, seed=5))).luma
     reply = ShardReply(
         index=3,
-        result=pipeline.process_frame(luma),
+        execution=BatchExecution(results=[pipeline.process_frame(luma)], schedule=None),
         pid=4321,
         queue_wait_s=0.001,
         latency_s=0.25,
@@ -120,7 +121,9 @@ def test_shard_reply_roundtrip():
     assert [_span_fields(s) for s in restored.spans] == [
         _span_fields(s) for s in reply.spans
     ]
-    assert len(restored.result.raw_detections) == len(reply.result.raw_detections)
+    (restored_result,) = restored.execution.results
+    (result,) = reply.execution.results
+    assert len(restored_result.raw_detections) == len(result.raw_detections)
 
 
 def test_pickled_payloads_are_small_except_pixels():

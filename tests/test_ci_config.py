@@ -6,6 +6,7 @@ the repo's quality gates depend on (lint, test matrix, vectorized-backend
 test pass, benchmark smoke) with the exact tier-1 pytest invocation.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ def test_triggers(workflow):
 
 def test_jobs_present(workflow):
     assert {
-        "lint", "test", "test-vectorized", "test-arrayapi", "test-processes",
+        "lint", "test", "test-vectorized", "test-arrayapi",
         "test-fastpath", "bench", "serve-smoke",
     } <= set(workflow["jobs"])
 
@@ -83,13 +84,26 @@ def test_arrayapi_backend_job(workflow):
     assert "PYTHONPATH=src python -m pytest -x -q" in text
 
 
-def test_process_sharding_job(workflow):
-    """The process-sharding subset must run under explicit spawn semantics."""
-    text = _steps_text(workflow["jobs"]["test-processes"])
-    assert "REPRO_START_METHOD=spawn" in text
-    assert "tests/detect/test_engine_processes.py" in text
-    assert "tests/detect/test_pickling.py" in text
-    assert "tests/video/test_shm.py" in text
+def test_process_sharding_runs_under_spawn_in_tier1():
+    """The tier-1 matrix covers process sharding under spawn semantics.
+
+    No separate CI job pins ``REPRO_START_METHOD=spawn``: spawn is the
+    engine's default start method, and the process-sharding tests sit
+    under the tier-1 ``testpaths``, so every ``test`` matrix entry runs
+    them with spawn workers.
+    """
+    from repro.detect.engine import DEFAULT_START_METHOD
+
+    assert DEFAULT_START_METHOD == "spawn"
+    pyproject = _WORKFLOW.parents[2] / "pyproject.toml"
+    line = next(
+        line for line in pyproject.read_text().splitlines()
+        if line.startswith("testpaths")
+    )
+    testpaths = ast.literal_eval(line.split("=", 1)[1].strip())
+    target = Path("tests/detect/test_engine_processes.py")
+    assert (pyproject.parent / target).is_file()
+    assert any(target.is_relative_to(path) for path in testpaths)
 
 
 def test_fastpath_job(workflow):
@@ -152,7 +166,7 @@ def test_serve_smoke_always_drains_the_server(workflow):
 
 def test_pip_caching(workflow):
     for name in (
-        "lint", "test", "test-vectorized", "test-arrayapi", "test-processes",
+        "lint", "test", "test-vectorized", "test-arrayapi",
         "test-fastpath", "bench", "serve-smoke",
     ):
         setup = next(
