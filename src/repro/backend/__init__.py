@@ -2,30 +2,23 @@
 
 Public surface:
 
-* :class:`~repro.backend.base.ComputeBackend`, the plan/evaluator ABCs
-  and :class:`~repro.backend.base.BackendCapabilities` — the seam every
-  implementation fills in, plus its capability declaration;
+* :class:`~repro.backend.base.ComputeBackend` and the plan/evaluator
+  ABCs — the seam every implementation fills in;
 * the registry (:func:`get_backend`, :func:`resolve_backend`,
-  :func:`probe_all`, :func:`register_backend`,
-  :func:`available_backends`) with the ``REPRO_BACKEND`` env override
-  and ordered CUDA -> MPS -> CPU capability probing;
-* the three built-in implementations: ``reference`` (the original NumPy
-  code, the byte-identity oracle), ``vectorized`` (batched cascade
-  evaluation, faster, bit-identical) and ``arrayapi`` (the array-API
-  namespace backend — NumPy on CPU, CuPy/Torch when a device probes up,
-  validated with tolerances);
+  :func:`register_backend`, :func:`available_backends`), a name ->
+  factory table with the ``REPRO_BACKEND`` env override;
+* the two built-in CPU kernel sets, both bit-exact: ``reference`` (the
+  original NumPy code, the byte-identity oracle) and ``vectorized``
+  (batched cascade evaluation, faster, byte-identical);
 * :func:`~repro.backend.oracle.compare_backends` — the cross-backend
-  differ the golden tests are built on, byte-gated for bitexact
-  backends and tolerance-gated for the rest.
+  byte differ the golden tests are built on.
 """
 
 from __future__ import annotations
 
-from repro.backend.arrayapi import ArrayApiBackend
 from repro.backend.base import (
     SPARSE_THRESHOLD,
     WINDOW_AREA,
-    BackendCapabilities,
     BilinearPlan,
     CascadeEvaluator,
     CascadeMaps,
@@ -36,13 +29,10 @@ from repro.backend.reference import ReferenceBackend
 from repro.backend.registry import (
     DEFAULT_BACKEND,
     ENV_VAR,
-    DeviceProbe,
-    ProbeReport,
     ResolvedBackend,
     available_backends,
     default_backend_name,
     get_backend,
-    probe_all,
     register_backend,
     resolve_backend,
 )
@@ -52,7 +42,6 @@ from repro.backend.warps import tile_warps
 __all__ = [
     "SPARSE_THRESHOLD",
     "WINDOW_AREA",
-    "BackendCapabilities",
     "BilinearPlan",
     "IntegralPlan",
     "CascadeMaps",
@@ -60,18 +49,14 @@ __all__ = [
     "ComputeBackend",
     "ReferenceBackend",
     "VectorizedBackend",
-    "ArrayApiBackend",
     "DEFAULT_BACKEND",
     "ENV_VAR",
-    "DeviceProbe",
-    "ProbeReport",
     "ResolvedBackend",
     "register_backend",
     "available_backends",
     "default_backend_name",
     "get_backend",
     "resolve_backend",
-    "probe_all",
     "tile_warps",
 ]
 
@@ -79,6 +64,3 @@ __all__ = [
 # than double-registration protection, which is for user-defined backends
 register_backend("reference", ReferenceBackend, replace=True)
 register_backend("vectorized", VectorizedBackend, replace=True)
-register_backend(
-    "arrayapi", ArrayApiBackend, replace=True, devices=("cuda", "mps", "cpu")
-)

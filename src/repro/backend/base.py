@@ -6,9 +6,8 @@ filtering, pyramid scaling, integral images, cascade evaluation.  A
 above it (:mod:`repro.detect.pipeline`, :mod:`repro.detect.engine`) keep
 the orchestration, the timing-model launches and the simulated schedules.
 Swapping the backend must never change a single output byte — the
-:mod:`repro.backend.oracle` differ and the cross-backend golden tests
-enforce that contract, which is what makes a future CuPy/Torch backend
-verifiable against the NumPy reference (ROADMAP "GPU-backend hook").
+:mod:`repro.backend.oracle` byte differ and the cross-backend golden
+tests enforce that contract.
 
 Method ↔ Fig. 1 stage map:
 
@@ -46,8 +45,6 @@ if TYPE_CHECKING:  # typing only: keep repro.backend import-light
 __all__ = [
     "SPARSE_THRESHOLD",
     "WINDOW_AREA",
-    "DEVICE_ORDER",
-    "BackendCapabilities",
     "BilinearPlan",
     "IntegralPlan",
     "CascadeMaps",
@@ -61,46 +58,6 @@ SPARSE_THRESHOLD = 0.04
 
 #: window area used by the variance normalisation (24x24 training window)
 WINDOW_AREA = 24 * 24
-
-#: probe order for device auto-selection: best accelerator first, CPU last
-DEVICE_ORDER = ("cuda", "mps", "cpu")
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend instance can promise once it is actually resolved.
-
-    ``device``
-        The device kind the instance computes on: ``"cpu"``, ``"cuda"``
-        or ``"mps"``.  Anything other than ``"cpu"`` is *device-bound*:
-        the engine must re-probe it inside worker processes before
-        sharding across them.
-    ``dtype``
-        The working precision of the cascade accumulators.
-    ``exactness``
-        ``"bitexact"`` backends promise byte-identical outputs against
-        the reference and are held to the byte gate by the oracle;
-        ``"tolerance"`` backends are validated with per-stage numeric
-        bounds plus a detection-level IoU/score gate instead.
-    """
-
-    device: str = "cpu"
-    dtype: str = "float64"
-    exactness: str = "bitexact"
-
-    def __post_init__(self) -> None:
-        if self.device not in DEVICE_ORDER:
-            raise ValueError(f"device must be one of {DEVICE_ORDER}, got {self.device!r}")
-        if self.exactness not in ("bitexact", "tolerance"):
-            raise ValueError(
-                f"exactness must be 'bitexact' or 'tolerance', got {self.exactness!r}"
-            )
-
-    @property
-    def device_bound(self) -> bool:
-        """True when the instance holds state tied to a non-CPU device."""
-        return self.device != "cpu"
-
 
 class BilinearPlan(ABC):
     """Precomputed bilinear resample for one fixed (src, dst) geometry.
@@ -249,16 +206,6 @@ class ComputeBackend(ABC):
 
     #: registry name; also recorded in bench/trace provenance
     name: ClassVar[str] = "abstract"
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        """Capability record of this instance (see :class:`BackendCapabilities`).
-
-        The default is the strongest promise — bitexact float64 on the
-        CPU — which is what both NumPy backends deliver.  Device-aware
-        backends override this with the device they actually resolved.
-        """
-        return BackendCapabilities()
 
     # -- Fig. 1 "Filtering" --------------------------------------------------
 

@@ -1,27 +1,14 @@
-"""Cross-backend differ: prove two backends agree, byte- or tolerance-gated.
+"""Cross-backend differ: prove two backends agree byte for byte.
 
 :func:`compare_backends` runs the same frames through one pipeline per
 backend and compares every functional artefact — pyramid level pixels,
 integral images, depth/margin/sigma/score maps, rejection histograms,
-raw detections and the final grouped detections.
-
-The gate dispatches on the backends' capability records
-(:class:`~repro.backend.base.BackendCapabilities`):
-
-* when every backend in the comparison declares
-  ``exactness="bitexact"`` (and no explicit ``tolerance`` is passed),
-  every array is compared on raw bytes (``tobytes``) — the historical
-  contract between ``reference`` and ``vectorized``, where anything
-  weaker hides reordered float arithmetic;
-* when any backend declares ``exactness="tolerance"`` (or the caller
-  passes ``tolerance=``), numeric stages are held to per-stage
-  absolute/relative bounds and the detections are held to a
-  detection-level gate: every detection must match a unique peer with
-  IoU above ``iou_min`` and score delta below ``score_delta``.
+raw detections and the final grouped detections — on raw bytes
+(``tobytes``).  Both kernel sets are bit-exact, so anything weaker would
+hide reordered float arithmetic.
 
 The golden tests call this on a synthetic scene, a trailer frame and a
-multi-frame stream; an accelerator backend earns its place by passing
-the tolerance gate against ``reference`` on the same goldens.
+multi-frame stream.
 """
 
 from __future__ import annotations
@@ -34,39 +21,7 @@ from repro.detect.grouping import group_detections
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.errors import ConfigurationError
 
-__all__ = ["StageBound", "ToleranceSpec", "OracleReport", "compare_backends"]
-
-
-@dataclass(frozen=True)
-class StageBound:
-    """Absolute/relative bound for one pipeline stage's arrays."""
-
-    atol: float = 0.0
-    rtol: float = 0.0
-
-
-@dataclass(frozen=True)
-class ToleranceSpec:
-    """Per-stage numeric bounds plus the detection-level gate.
-
-    ``pixels`` bounds the pyramid level images (float32 texels),
-    ``integrals`` the padded integral images (float64 running sums —
-    absolute error grows with image area, so its ``atol`` is looser),
-    ``maps`` the margin/sigma/score maps.  ``depth_mismatch_fraction``
-    budgets the fraction of anchors whose integer stage count may flip
-    when float reordering moves a window across a stage threshold; the
-    same budget bounds rejection-histogram bin drift.  ``iou_min`` and
-    ``score_delta`` gate raw and grouped detections pairwise.
-    """
-
-    pixels: StageBound = field(default_factory=lambda: StageBound(atol=1e-3, rtol=1e-6))
-    integrals: StageBound = field(
-        default_factory=lambda: StageBound(atol=1e-2, rtol=1e-9)
-    )
-    maps: StageBound = field(default_factory=lambda: StageBound(atol=1e-6, rtol=1e-9))
-    depth_mismatch_fraction: float = 0.0
-    iou_min: float = 0.99
-    score_delta: float = 1e-6
+__all__ = ["OracleReport", "compare_backends"]
 
 
 @dataclass
@@ -75,8 +30,6 @@ class OracleReport:
 
     backends: tuple[str, ...]
     frames: int
-    mode: str = "bitexact"
-    tolerance: ToleranceSpec | None = None
     mismatches: list[str] = field(default_factory=list)
 
     @property
@@ -88,7 +41,7 @@ class OracleReport:
             raise ConfigurationError(
                 "backends "
                 + " vs ".join(self.backends)
-                + f" diverged ({self.mode} gate): "
+                + " diverged: "
                 + "; ".join(self.mismatches[:8])
             )
 
@@ -102,94 +55,15 @@ def _diff_bytes(mismatches: list[str], label: str, a, b) -> None:
         mismatches.append(f"{label}: {int(np.sum(a != b))} differing elements")
 
 
-def _diff_close(mismatches: list[str], label: str, a, b, bound: StageBound) -> None:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.dtype != b.dtype:
-        mismatches.append(f"{label}: shape/dtype {a.shape}/{a.dtype} vs {b.shape}/{b.dtype}")
-        return
-    if not np.allclose(a, b, atol=bound.atol, rtol=bound.rtol, equal_nan=True):
-        err = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-        mismatches.append(
-            f"{label}: max abs err {float(err.max()):.3e} exceeds "
-            f"atol={bound.atol:g}/rtol={bound.rtol:g}"
-        )
-
-
-def _diff_counts(
-    mismatches: list[str], label: str, a, b, budget_fraction: float
-) -> None:
-    """Integer arrays (depth maps, rejection histograms) with a flip budget."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        mismatches.append(f"{label}: shape {a.shape} vs {b.shape}")
-        return
-    flips = int(np.sum(a != b))
-    allowed = int(budget_fraction * a.size)
-    if flips > allowed:
-        mismatches.append(
-            f"{label}: {flips} differing elements exceeds budget {allowed} "
-            f"({budget_fraction:g} of {a.size})"
-        )
-
-
-def _iou(a, b) -> float:
-    ax, ay, asz, _ = a
-    bx, by, bsz, _ = b
-    x0 = max(ax, bx)
-    y0 = max(ay, by)
-    x1 = min(ax + asz, bx + bsz)
-    y1 = min(ay + asz, by + bsz)
-    inter = max(0.0, x1 - x0) * max(0.0, y1 - y0)
-    union = asz * asz + bsz * bsz - inter
-    return inter / union if union > 0 else 0.0
-
-
-def _diff_detections(
-    mismatches: list[str], label: str, dets_a, dets_b, spec: ToleranceSpec
-) -> None:
-    """Each detection must match a unique peer on IoU and score delta."""
-    if len(dets_a) != len(dets_b):
-        mismatches.append(f"{label}: {len(dets_a)} vs {len(dets_b)} detections")
-        return
-    unmatched = list(range(len(dets_b)))
-    for det in dets_a:
-        best_j, best_iou = -1, 0.0
-        for j in unmatched:
-            iou = _iou(det, dets_b[j])
-            if iou > best_iou:
-                best_j, best_iou = j, iou
-        if best_j < 0 or best_iou < spec.iou_min:
-            mismatches.append(
-                f"{label}: detection {det[:3]} has no peer with IoU >= {spec.iou_min}"
-                f" (best {best_iou:.3f})"
-            )
-            return
-        if abs(det[3] - dets_b[best_j][3]) > spec.score_delta:
-            mismatches.append(
-                f"{label}: detection {det[:3]} score delta "
-                f"{abs(det[3] - dets_b[best_j][3]):.3e} exceeds {spec.score_delta:g}"
-            )
-            return
-        unmatched.remove(best_j)
-
-
 def compare_backends(
     frames,
     cascade,
     *,
     backends: tuple[str, str] = ("reference", "vectorized"),
     config: PipelineConfig | None = None,
-    tolerance: ToleranceSpec | None = None,
 ) -> OracleReport:
-    """Run ``frames`` (iterable of 2-D luma arrays) through each backend.
-
-    The gate dispatches on the backends' capability records: all-bitexact
-    comparisons use raw bytes, anything else uses ``tolerance`` (or the
-    :class:`ToleranceSpec` defaults when not given).  Passing an explicit
-    ``tolerance`` forces the tolerance gate even for bitexact pairs.
-    """
+    """Run ``frames`` (iterable of 2-D luma arrays) through each backend
+    and byte-compare every artefact against the first backend's."""
     if len(backends) < 2:
         raise ConfigurationError("need at least two backends to compare")
     base = config or PipelineConfig()
@@ -198,43 +72,11 @@ def compare_backends(
         for name in backends
     ]
     names = tuple(p.backend.name for p in pipelines)
-    all_bitexact = all(
-        p.backend.capabilities.exactness == "bitexact" for p in pipelines
-    )
-    if tolerance is None and all_bitexact:
-        mode, spec = "bitexact", None
-    else:
-        mode, spec = "tolerance", tolerance or ToleranceSpec()
     ref, others = pipelines[0], pipelines[1:]
 
     frames = [np.asarray(f) for f in frames]
-    report = OracleReport(
-        backends=names, frames=len(frames), mode=mode, tolerance=spec
-    )
+    report = OracleReport(backends=names, frames=len(frames))
     mm = report.mismatches
-
-    if mode == "bitexact":
-
-        def diff_pixels(label, a, b):
-            _diff_bytes(mm, label, a, b)
-
-        def diff_counts(label, a, b):
-            _diff_bytes(mm, label, a, b)
-
-        diff_integrals = diff_maps = diff_pixels
-    else:
-
-        def diff_pixels(label, a, b):
-            _diff_close(mm, label, a, b, spec.pixels)
-
-        def diff_integrals(label, a, b):
-            _diff_close(mm, label, a, b, spec.integrals)
-
-        def diff_maps(label, a, b):
-            _diff_close(mm, label, a, b, spec.maps)
-
-        def diff_counts(label, a, b):
-            _diff_counts(mm, label, a, b, spec.depth_mismatch_fraction)
 
     for f_idx, frame in enumerate(frames):
         ref_result = ref.process_frame(frame)
@@ -245,13 +87,15 @@ def compare_backends(
             for lvl, (la, lb) in enumerate(
                 zip(ref_result.levels, other_result.levels)
             ):
-                diff_pixels(f"{tag} level[{lvl}].image", la.image, lb.image)
-                diff_integrals(
+                _diff_bytes(mm, f"{tag} level[{lvl}].image", la.image, lb.image)
+                _diff_bytes(
+                    mm,
                     f"{tag} level[{lvl}].integral",
                     ref.backend.integral_image(np.asarray(la.image, dtype=np.float64)),
                     other.backend.integral_image(np.asarray(lb.image, dtype=np.float64)),
                 )
-                diff_integrals(
+                _diff_bytes(
+                    mm,
                     f"{tag} level[{lvl}].sq_integral",
                     ref.backend.squared_integral_image(
                         np.asarray(la.image, dtype=np.float64)
@@ -263,17 +107,19 @@ def compare_backends(
             for lvl, (ka, kb) in enumerate(
                 zip(ref_result.kernel_results, other_result.kernel_results)
             ):
-                diff_counts(f"{tag} level[{lvl}].depth_map", ka.depth_map, kb.depth_map)
-                diff_maps(f"{tag} level[{lvl}].margin_map", ka.margin_map, kb.margin_map)
-                diff_maps(f"{tag} level[{lvl}].sigma_map", ka.sigma_map, kb.sigma_map)
-                diff_maps(f"{tag} level[{lvl}].score_map", ka.score_map, kb.score_map)
-                diff_counts(
+                _diff_bytes(mm, f"{tag} level[{lvl}].depth_map", ka.depth_map, kb.depth_map)
+                _diff_bytes(mm, f"{tag} level[{lvl}].margin_map", ka.margin_map, kb.margin_map)
+                _diff_bytes(mm, f"{tag} level[{lvl}].sigma_map", ka.sigma_map, kb.sigma_map)
+                _diff_bytes(mm, f"{tag} level[{lvl}].score_map", ka.score_map, kb.score_map)
+                _diff_bytes(
+                    mm,
                     f"{tag} level[{lvl}].rejections",
                     ka.rejections_by_depth,
                     kb.rejections_by_depth,
                 )
             n_stages = ref.cascade.num_stages
-            diff_counts(
+            _diff_bytes(
+                mm,
                 f"{tag} rejection_matrix",
                 ref_result.rejection_matrix(n_stages),
                 other_result.rejection_matrix(n_stages),
@@ -281,6 +127,8 @@ def compare_backends(
 
             raw_a = [(d.x, d.y, d.size, d.score) for d in ref_result.raw_detections]
             raw_b = [(d.x, d.y, d.size, d.score) for d in other_result.raw_detections]
+            if raw_a != raw_b:
+                mm.append(f"{tag} raw detections: {len(raw_a)} vs {len(raw_b)} differ")
             grouped_a = [
                 (d.x, d.y, d.size, d.score)
                 for d in group_detections(ref_result.raw_detections)
@@ -289,17 +137,9 @@ def compare_backends(
                 (d.x, d.y, d.size, d.score)
                 for d in group_detections(other_result.raw_detections)
             ]
-            if mode == "bitexact":
-                if raw_a != raw_b:
-                    mm.append(f"{tag} raw detections: {len(raw_a)} vs {len(raw_b)} differ")
-                if grouped_a != grouped_b:
-                    mm.append(
-                        f"{tag} grouped detections: "
-                        f"{len(grouped_a)} vs {len(grouped_b)} differ"
-                    )
-            else:
-                _diff_detections(mm, f"{tag} raw detections", raw_a, raw_b, spec)
-                _diff_detections(
-                    mm, f"{tag} grouped detections", grouped_a, grouped_b, spec
+            if grouped_a != grouped_b:
+                mm.append(
+                    f"{tag} grouped detections: "
+                    f"{len(grouped_a)} vs {len(grouped_b)} differ"
                 )
     return report

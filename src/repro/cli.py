@@ -244,44 +244,9 @@ def _cmd_zoo_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_device_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--device",
-        choices=("auto", "cuda", "mps", "cpu", "list"),
-        default=None,
-        help="compute device kind; 'auto' probes cuda -> mps -> cpu and falls "
-        "back to the first available, 'list' prints the capability probe "
-        "report and exits",
-    )
-    p.add_argument(
-        "--gpu",
-        action="store_true",
-        help="shorthand for --device auto (prefer an accelerator, fall back to cpu)",
-    )
-
-
-def _resolve_device(args: argparse.Namespace) -> str | None:
-    device = getattr(args, "device", None)
-    if device is None and getattr(args, "gpu", False):
-        device = "auto"
-    return device
-
-
-def _maybe_list_devices(args: argparse.Namespace) -> bool:
-    """Handle ``--device list``: print the probe report, signal early exit."""
-    if getattr(args, "device", None) != "list":
-        return False
-    from repro.backend import probe_all
-
-    print(probe_all().format_report())
-    return True
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.config import active_profile
 
-    if _maybe_list_devices(args):
-        return 0
     if args.experiment == "throughput":
         return _cmd_bench_throughput(args)
     if args.experiment == "serving":
@@ -326,7 +291,6 @@ def _cmd_bench_throughput(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         cascade=args.cascade,
         backend=args.backend,
-        device=_resolve_device(args),
         mode=args.mode,
         fastpath=args.fastpath,
     )
@@ -482,15 +446,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.admission import AdmissionConfig
     from repro.serve.server import ServerConfig, run_server
 
-    if _maybe_list_devices(args):
-        return 0
     config = ServerConfig(
         host=args.host,
         port=args.port,
         cascade=args.cascade,
         model=args.model,
         backend=args.backend,
-        device=_resolve_device(args),
         workers=args.workers,
         sharding=args.mode,
         max_batch=args.max_batch,
@@ -605,8 +566,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.capture import run_trace
 
-    if _maybe_list_devices(args):
-        return 0
     capture = run_trace(
         frames=args.frames,
         workers=args.workers,
@@ -616,7 +575,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         faces=args.faces,
         seed=args.seed,
         backend=args.backend,
-        device=_resolve_device(args),
         mode=args.mode,
         fastpath=args.fastpath,
     )
@@ -777,10 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default=None,
-        help="compute backend (reference/vectorized/arrayapi; default: "
+        help="compute backend (reference/vectorized; default: "
         "$REPRO_BACKEND or reference) (throughput)",
     )
-    _add_device_flags(p)
     p.add_argument(
         "--output",
         default="BENCH_throughput.json",
@@ -875,10 +832,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default=None,
-        help="compute backend (reference/vectorized/arrayapi; default: "
+        help="compute backend (reference/vectorized; default: "
         "$REPRO_BACKEND or reference)",
     )
-    _add_device_flags(p)
     p.add_argument(
         "--fastpath",
         choices=("off", "exact", "fast"),
@@ -917,10 +873,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default=None,
-        help="compute backend (reference/vectorized/arrayapi; default: "
+        help="compute backend (reference/vectorized; default: "
         "$REPRO_BACKEND or reference)",
     )
-    _add_device_flags(p)
     p.add_argument("--workers", type=int, default=1, help="engine workers")
     p.add_argument(
         "--mode",

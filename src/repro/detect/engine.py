@@ -89,7 +89,6 @@ from repro.detect.shard import (
     ShardReply,
     WorkerSpec,
     init_worker,
-    probe_shard,
     process_shard,
 )
 from repro.detect.windows import BlockMapping
@@ -1122,11 +1121,6 @@ class DetectionEngine:
         return self._pipeline.backend
 
     @property
-    def compute_device(self) -> str:
-        """Device kind the numeric kernels run on (``cpu``/``cuda``/``mps``)."""
-        return self._pipeline.compute_device
-
-    @property
     def workers(self) -> int:
         return self._workers
 
@@ -1216,51 +1210,9 @@ class DetectionEngine:
             trace_origin=self._tracer.origin,
             stream=self._fastpath_stream,
         )
-        executor = _ProcessExecutor(
+        return _ProcessExecutor(
             spec, self._workers, self._start_method, self.max_in_flight, self._finish_reply
         )
-        if self._pipeline.backend.capabilities.device_bound:
-            self._verify_worker_probes(executor.pool)
-        return executor
-
-    def _verify_worker_probes(self, pool) -> None:
-        """Refuse to shard a device-bound backend that workers can't probe.
-
-        A spawn child re-resolves the pinned ``(backend, device)`` from
-        scratch; device handles do not survive the process boundary, so
-        the pool is only trusted after every worker slot has answered a
-        :func:`~repro.detect.shard.probe_shard` round-trip with the same
-        backend and device the parent resolved.  Any initializer failure
-        or mismatch shuts the pool down and raises with both sides'
-        probe evidence instead of letting frames silently fall back.
-        """
-        expected_backend = self._pipeline.backend.name
-        expected_device = self._pipeline.compute_device
-        parent_report = self._pipeline.probe_report
-        parent_path = parent_report.path if parent_report is not None else "(none)"
-        futures = [pool.submit(probe_shard) for _ in range(self._workers)]
-        try:
-            replies = [f.result() for f in futures]
-        except BaseException as exc:
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise ConfigurationError(
-                f"cannot shard device-bound backend {expected_backend!r} "
-                f"({expected_device}) across processes: worker probe failed "
-                f"({exc}); parent probe path: {parent_path}"
-            ) from exc
-        for reply in replies:
-            if (
-                reply["backend"] != expected_backend
-                or reply["device"] != expected_device
-            ):
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise ConfigurationError(
-                    f"cannot shard device-bound backend {expected_backend!r} "
-                    f"({expected_device}) across processes: worker pid "
-                    f"{reply['pid']} resolved {reply['backend']!r} "
-                    f"({reply['device']}) via {reply['probe_path']}; "
-                    f"parent probe path: {parent_path}"
-                )
 
     # -- the one primitive: a group of same-shaped lanes on one workspace ----
 

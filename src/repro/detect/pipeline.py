@@ -18,9 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.backend import ComputeBackend, default_backend_name, resolve_backend
-from repro.backend.base import DEVICE_ORDER
-from repro.backend.registry import ProbeReport
+from repro.backend import ComputeBackend, get_backend
 from repro.detect.display import display_launch
 from repro.detect.fastpath import FastpathConfig, FastpathFrameStats, resolve_fastpath
 from repro.detect.grouping import RawDetection
@@ -59,13 +57,6 @@ class PipelineConfig:
     #: compute-backend registry name; ``None`` -> ``REPRO_BACKEND`` env var
     #: or the ``reference`` default (see :mod:`repro.backend.registry`)
     backend: str | None = None
-    #: compute device kind for the backend probe: ``"cuda"``/``"mps"``/
-    #: ``"cpu"`` restrict resolution to that device, ``"auto"`` walks
-    #: CUDA -> MPS -> CPU, ``None`` keeps the backend's own device order.
-    #: Distinct from :class:`~repro.gpusim.device.DeviceSpec` (the
-    #: *simulated* GPU of the timing model) — this names the real device
-    #: the numeric kernels execute on.
-    device: str | None = None
     #: two-tier fast path: a :class:`~repro.detect.fastpath.FastpathConfig`,
     #: a policy name (``off`` | ``exact`` | ``fast``), or ``None`` ->
     #: ``REPRO_FASTPATH`` env var or ``off``
@@ -74,11 +65,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.block_w <= 0 or self.block_h <= 0:
             raise ConfigurationError("block dimensions must be positive")
-        if self.device is not None and self.device != "auto" and self.device not in DEVICE_ORDER:
-            raise ConfigurationError(
-                f"unknown compute device {self.device!r}; "
-                f"choose from {DEVICE_ORDER} or 'auto'"
-            )
 
 
 @dataclass(frozen=True)
@@ -198,25 +184,9 @@ class FaceDetectionPipeline:
         self._config = config or PipelineConfig()
         self._device = device
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        # resolve eagerly so an unknown backend name fails at construction
-        requested = self._config.backend
-        if isinstance(requested, ComputeBackend):
-            # an already-built instance threads straight through (no probe)
-            self._backend = requested
-            self._compute_device = requested.capabilities.device
-            self._probe_report: ProbeReport | None = None
-        elif self._config.device is None:
-            # legacy chain: explicit name > REPRO_BACKEND > default, probed
-            # over that backend's own declared devices only (no auto walk)
-            resolved = resolve_backend(prefer=requested or default_backend_name())
-            self._backend = resolved.backend
-            self._compute_device = resolved.device
-            self._probe_report = resolved.report
-        else:
-            resolved = resolve_backend(prefer=requested, device=self._config.device)
-            self._backend = resolved.backend
-            self._compute_device = resolved.device
-            self._probe_report = resolved.report
+        # resolve eagerly so an unknown backend name fails at construction;
+        # an already-built instance threads straight through
+        self._backend = get_backend(self._config.backend)
         # same for the fast-path policy (explicit > REPRO_FASTPATH > off)
         self._fastpath = resolve_fastpath(self._config.fastpath)
         self._scheduler = DeviceScheduler(device)
@@ -244,16 +214,6 @@ class FaceDetectionPipeline:
     def backend(self) -> ComputeBackend:
         """The resolved compute backend owning the numeric kernels."""
         return self._backend
-
-    @property
-    def compute_device(self) -> str:
-        """Device kind the numeric kernels run on (``cpu``/``cuda``/``mps``)."""
-        return self._compute_device
-
-    @property
-    def probe_report(self) -> ProbeReport | None:
-        """How the backend was resolved (``None`` for instance passthrough)."""
-        return self._probe_report
 
     @property
     def config(self) -> PipelineConfig:
@@ -293,16 +253,13 @@ class FaceDetectionPipeline:
         Carries the *source* cascade (pre-quantisation): ``build`` repeats
         the constant-memory encode/decode, so the rebuilt pipeline
         evaluates the identical quantised cascade.  The config is pinned
-        to the *resolved* backend name and compute device, so a worker
-        process re-probes exactly this candidate — and fails loudly if
-        its environment cannot bring the same device up — instead of
-        silently falling back to a different backend.
+        to the *resolved* backend name, so a worker process whose
+        environment differs (``REPRO_BACKEND``) still builds the same
+        backend.
         """
         config = self._config
         if not isinstance(config.backend, ComputeBackend):
-            config = replace(
-                config, backend=self._backend.name, device=self._compute_device
-            )
+            config = replace(config, backend=self._backend.name)
         return PipelineSpec(
             cascade=self._source_cascade, device=self._device, config=config
         )

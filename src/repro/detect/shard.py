@@ -48,7 +48,6 @@ __all__ = [
     "WorkerSpec",
     "ShardReply",
     "init_worker",
-    "probe_shard",
     "process_shard",
 ]
 
@@ -105,27 +104,6 @@ def init_worker(spec: WorkerSpec) -> None:
     _STATE["tracer"] = tracer
     _STATE["crash_index"] = _parse_crash_index()
     _STATE["delays"] = _parse_delays()
-
-
-def probe_shard() -> dict:
-    """Report the backend/device this worker actually resolved.
-
-    The engine calls this once per pool after :func:`init_worker` to
-    verify a device-bound backend really came up inside every worker —
-    a spawn child re-probes from scratch and may land differently (or
-    not at all) when the device is tied to the parent process.
-    """
-    workspace = _STATE.get("workspace")
-    if workspace is None:
-        raise ConfigurationError("worker used before init_worker ran")
-    pipeline = workspace.pipeline
-    report = pipeline.probe_report
-    return {
-        "pid": os.getpid(),
-        "backend": pipeline.backend.name,
-        "device": pipeline.compute_device,
-        "probe_path": report.path if report is not None else None,
-    }
 
 
 def _parse_crash_index() -> int | None:

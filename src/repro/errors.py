@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ConfigurationError",
-    "BackendUnavailableError",
     "LaunchError",
     "MemoryModelError",
     "CascadeFormatError",
@@ -32,15 +31,6 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError):
     """A configuration value is missing, inconsistent, or out of range."""
-
-
-class BackendUnavailableError(ConfigurationError):
-    """A compute backend cannot run here (missing import, absent device).
-
-    Raised by backend factories during capability probing; the registry
-    catches it and records the message as the probe skip reason rather
-    than aborting the CUDA → MPS → CPU walk.
-    """
 
 
 class LaunchError(ReproError):

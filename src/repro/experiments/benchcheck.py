@@ -16,15 +16,14 @@ Baselines live under ``benchmarks/baselines/<experiment>.json``::
     {"experiment": "fastpath",
      "checks": [{"path": "identical_exact", "equals": true},
                 {"path": "recall", "min": 0.99},
-                {"path": "provenance.device", "exists": true},
+                {"path": "provenance.backend", "exists": true},
                 {"path": "exact_stats.anchors_pruned", "max": 0}]}
 
 ``exists`` asserts presence (any value, including ``null``) — shape
-checks for provenance fields whose value varies by host, like the
-capability-probe path.  ``equals`` is strict; ``min``/``max`` are
-loosened by the relative
-``tolerance`` (a ``min`` of 0.99 at tolerance 0.1 accepts >= 0.891) so
-the checked-in floors survive noisy shared runners.  Baselines assert
+checks for provenance fields whose value varies by run, like the
+backend name.  ``equals`` is strict; ``min``/``max`` are loosened by
+the relative ``tolerance`` (a ``min`` of 0.99 at tolerance 0.1 accepts
+>= 0.891) so the checked-in floors survive noisy shared runners.  Baselines assert
 CI-robust invariants — identity flags, recall floors, accounting
 identities — never raw wall-clock ratios.
 """
@@ -51,7 +50,7 @@ REQUIRED_COMMON = frozenset({"experiment", "schema_version", "provenance"})
 #: serving artifact legitimately publishes ``"speedup": null``)
 REQUIRED_KEYS = {
     "throughput": frozenset(
-        {"modes", "speedup", "identical_detections", "backend", "device"}
+        {"modes", "speedup", "identical_detections", "backend"}
     ),
     "serving": frozenset(
         {"workload", "runs", "fps", "latency", "speedup", "identical_responses"}
@@ -201,7 +200,7 @@ def _check_baseline(
         value = _lookup(payload, dotted) if dotted else _MISSING
         if "exists" in check:
             # presence-only: valuable for provenance fields whose value
-            # depends on the host (device kind, probe path)
+            # depends on the run (backend name, sharding mode)
             present = value is not _MISSING
             if present != bool(check["exists"]):
                 expectation = "present" if check["exists"] else "absent"

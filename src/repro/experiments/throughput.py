@@ -59,9 +59,9 @@ __all__ = [
 
 #: ``BENCH_throughput.json`` schema: 3 adds the serial/threads/processes
 #: mode comparison with median + IQR scoring and warmup rounds; 4 adds
-#: the compute device and probe path (top-level ``device`` plus
-#: ``provenance.device`` / ``provenance.probe``)
-BENCH_SCHEMA_VERSION = 4
+#: the compute device and probe path; 5 drops them again (both backends
+#: are CPU-only, so the backend name alone identifies a series)
+BENCH_SCHEMA_VERSION = 5
 
 #: quarter-1080p: the paper's 1920x1080 trailer frames scaled by 4 per axis
 #: (aspect preserved) so the suite runs in seconds on one CPU core
@@ -131,10 +131,6 @@ class ThroughputResult:
     report: BatchReport
     #: observability snapshot of a post-timing instrumented engine pass
     metrics: dict | None = None
-    #: compute device kind the backend resolved to ("cpu"/"cuda"/"mps")
-    device: str = "cpu"
-    #: one-line capability-probe path that selected the backend
-    probe: str | None = None
 
     @property
     def identical(self) -> bool:
@@ -178,12 +174,7 @@ class ThroughputResult:
         return {
             "experiment": "throughput",
             "schema_version": BENCH_SCHEMA_VERSION,
-            "provenance": provenance(
-                backend=self.backend,
-                mode=self.mode,
-                device=self.device,
-                probe=self.probe,
-            ),
+            "provenance": provenance(backend=self.backend, mode=self.mode),
             "frame_width": self.width,
             "frame_height": self.height,
             "frames": self.frames,
@@ -192,7 +183,6 @@ class ThroughputResult:
             "warmup": self.warmup,
             "cascade": self.cascade,
             "backend": self.backend,
-            "device": self.device,
             "mode": self.mode,
             "modes": {
                 "serial": self.serial.to_dict(self.frames),
@@ -244,7 +234,6 @@ class ThroughputResult:
             title=(
                 f"Throughput — {self.frames} x {self.width}x{self.height} synthetic "
                 f"frames, {self.cascade} cascade, {self.backend} backend "
-                f"on {self.device} "
                 f"(median of {self.trials} rounds, {self.warmup} warmup, "
                 f"{os.cpu_count() or 1} cores, primary mode: {self.mode})"
             ),
@@ -281,7 +270,6 @@ def run_throughput(
     faces: int = 2,
     seed: int = 0,
     backend: str | None = None,
-    device: str | None = None,
     mode: ShardingMode | str = ShardingMode.THREADS,
     fastpath: str | None = None,
 ) -> ThroughputResult:
@@ -292,11 +280,9 @@ def run_throughput(
     host, exactly as the engine would); all three paths are always
     timed, so the artifact records the full comparison either way.
     ``backend`` names the compute backend every path runs on (``None``
-    defers to ``REPRO_BACKEND`` / the ``reference`` default); ``device``
-    restricts the backend's capability probe to one device kind
-    (``"auto"`` walks CUDA -> MPS -> CPU); ``fastpath`` selects the
-    two-tier fast-path policy the same way (``None`` defers to
-    ``REPRO_FASTPATH`` / off).
+    defers to ``REPRO_BACKEND`` / the ``reference`` default); ``fastpath``
+    selects the two-tier fast-path policy the same way (``None`` defers
+    to ``REPRO_FASTPATH`` / off).
     """
     if frames <= 0:
         raise ConfigurationError("frames must be positive")
@@ -316,7 +302,7 @@ def run_throughput(
     ]
     pipeline = FaceDetectionPipeline(
         _CASCADES[cascade](seed=0),
-        config=PipelineConfig(backend=backend, device=device, fastpath=fastpath),
+        config=PipelineConfig(backend=backend, fastpath=fastpath),
     )
     thread_engine = DetectionEngine(pipeline, workers=workers, sharding="threads")
     process_engine = DetectionEngine(pipeline, workers=workers, sharding="processes")
@@ -380,13 +366,7 @@ def run_throughput(
     ) as traced_engine:
         traced = list(traced_engine.process_frames(iter(lumas)))
     identity["traced"] = _identical(reference, traced)
-    metrics = build_snapshot(
-        registry,
-        tracer,
-        backend=pipeline.backend.name,
-        device=pipeline.compute_device,
-        probe=pipeline.probe_report,
-    )
+    metrics = build_snapshot(registry, tracer, backend=pipeline.backend.name)
 
     return ThroughputResult(
         width=width,
@@ -404,8 +384,4 @@ def run_throughput(
         identity=identity,
         report=report,
         metrics=metrics,
-        device=pipeline.compute_device,
-        probe=(
-            pipeline.probe_report.path if pipeline.probe_report is not None else None
-        ),
     )

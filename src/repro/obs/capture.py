@@ -38,8 +38,6 @@ class TraceCapture:
     snapshot: dict = field(repr=False)
     tracer: Tracer = field(repr=False)
     metrics: MetricsRegistry = field(repr=False)
-    #: compute device kind the backend resolved to ("cpu"/"cuda"/"mps")
-    device: str = "cpu"
 
     def write_trace(self, path: str | Path) -> Path:
         return write_chrome_trace(path, self.events)
@@ -61,7 +59,6 @@ def run_trace(
     faces: int = 2,
     seed: int = 0,
     backend: str | None = None,
-    device: str | None = None,
     mode: str = "threads",
     fastpath: str | None = None,
     pipeline=None,
@@ -99,7 +96,7 @@ def run_trace(
             )
         pipeline = FaceDetectionPipeline(
             cascades[cascade](seed=0),
-            config=PipelineConfig(backend=backend, device=device, fastpath=fastpath),
+            config=PipelineConfig(backend=backend, fastpath=fastpath),
         )
 
     tracer = Tracer()
@@ -117,14 +114,7 @@ def run_trace(
         mode=resolved_mode,
         results=results,
         events=engine_trace_events(tracer, results),
-        snapshot=build_snapshot(
-            metrics,
-            tracer,
-            backend=pipeline.backend.name,
-            device=pipeline.compute_device,
-            probe=pipeline.probe_report,
-        ),
+        snapshot=build_snapshot(metrics, tracer, backend=pipeline.backend.name),
         tracer=tracer,
         metrics=metrics,
-        device=pipeline.compute_device,
     )

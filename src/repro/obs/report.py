@@ -39,19 +39,14 @@ def build_snapshot(
     metrics: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
     backend: str | None = None,
-    device: str | None = None,
-    probe=None,
     model: dict | None = None,
 ) -> dict:
     """One deterministic-shaped dict with everything observed so far.
 
     When ``backend`` is given, the snapshot records both the active
-    compute backend and the registry contents it was chosen from;
-    ``device`` and ``probe`` (a :class:`~repro.backend.registry.
-    ProbeReport`) additionally record the compute device kind and the
-    capability-probe path that selected it.  ``model`` (the serving
-    layer's model-manager info block) records which zoo model version
-    produced the numbers in this snapshot.
+    compute backend and the registry contents it was chosen from.
+    ``model`` (the serving layer's model-manager info block) records
+    which zoo model version produced the numbers in this snapshot.
     """
     snap: dict = {"schema_version": SNAPSHOT_SCHEMA_VERSION}
     if model is not None:
@@ -63,10 +58,6 @@ def build_snapshot(
             "active": backend,
             "registered": list(available_backends()),
         }
-        if device is not None:
-            snap["backend"]["device"] = device
-        if probe is not None:
-            snap["backend"]["probe"] = probe.to_dict()
     registry_dump = metrics.snapshot() if metrics is not None else {
         "counters": {}, "gauges": {}, "histograms": {}
     }

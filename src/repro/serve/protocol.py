@@ -121,9 +121,10 @@ async def read_request(
     """Parse one request; ``None`` on a clean EOF before any bytes.
 
     Raises :class:`BadRequestError` (with the right 4xx/5xx status) on
-    everything else: garbled request lines, oversized headers, missing
-    or bad ``Content-Length``, bodies over ``max_body_bytes``, chunked
-    transfer (not implemented), or mid-request EOF.
+    everything else: garbled request lines, oversized headers, missing,
+    bad or conflicting ``Content-Length``, bodies over
+    ``max_body_bytes``, chunked transfer (not implemented), or
+    mid-request EOF.
     """
     try:
         line = await reader.readline()
@@ -162,7 +163,14 @@ async def read_request(
         name, sep, value = hline.decode("latin-1").partition(":")
         if not sep or not name.strip():
             raise BadRequestError(f"malformed header line {hline!r}")
-        headers[name.strip().lower()] = value.strip()
+        key, value = name.strip().lower(), value.strip()
+        # RFC 9112 §6.3: differing Content-Length values leave the framing
+        # ambiguous; last-wins would let the body boundary be smuggled
+        if key == "content-length" and headers.get(key, value) != value:
+            raise BadRequestError(
+                f"conflicting Content-Length {headers[key]!r} vs {value!r}"
+            )
+        headers[key] = value
 
     if "transfer-encoding" in headers:
         raise BadRequestError("chunked transfer not supported", status=501)

@@ -88,9 +88,6 @@ class ServerConfig:
     #: the target moved; ``POST /v1/models/swap`` swaps explicitly.
     model: str | None = None
     backend: str | None = None
-    #: compute device kind (``auto`` | ``cuda`` | ``mps`` | ``cpu``);
-    #: ``None`` keeps the backend's own device resolution
-    device: str | None = None
     #: fast-path policy (``off`` | ``exact`` | ``fast``); ``None`` ->
     #: ``REPRO_FASTPATH`` or off.  Serving frames come from unrelated
     #: clients, so the engine runs with temporal reuse disabled either
@@ -143,7 +140,6 @@ def _load_model(
     backend: str | None,
     tracer: Tracer,
     fastpath: str | None = None,
-    device: str | None = None,
 ):
     """Resolve a model reference into ``(pipeline, model info)``.
 
@@ -175,7 +171,7 @@ def _load_model(
         }
     pipeline = FaceDetectionPipeline(
         cascade,
-        config=PipelineConfig(backend=backend, device=device, fastpath=fastpath),
+        config=PipelineConfig(backend=backend, fastpath=fastpath),
         tracer=tracer,
     )
     return pipeline, info
@@ -186,11 +182,8 @@ def _build_pipeline(
     backend: str | None,
     tracer: Tracer,
     fastpath: str | None = None,
-    device: str | None = None,
 ):
-    return _load_model(
-        cascade, backend, tracer, fastpath=fastpath, device=device
-    )[0]
+    return _load_model(cascade, backend, tracer, fastpath=fastpath)[0]
 
 
 class DetectionServer:
@@ -288,11 +281,7 @@ class DetectionServer:
         )
         self._manager = ModelManager(
             build_pipeline=lambda ref: _load_model(
-                ref,
-                cfg.backend,
-                self._tracer,
-                fastpath=cfg.fastpath,
-                device=cfg.device,
+                ref, cfg.backend, self._tracer, fastpath=cfg.fastpath
             ),
             build_engine=self._build_engine,
             warm=self._warm_engine,
@@ -810,8 +799,6 @@ class DetectionServer:
             self._metrics,
             self._tracer,
             backend=backend,
-            device=self._pipeline.compute_device if self._pipeline else None,
-            probe=self._pipeline.probe_report if self._pipeline else None,
             model=self._manager.info() if self._manager is not None else None,
         )
         snap["serve"] = {

@@ -6,8 +6,11 @@ digest, the seed, the git SHA and timestamp of the training run, the
 per-stage trainer round log, the held-out ROC operating point, and a
 content digest over the cascade's canonical JSON.  The content digest is
 the integrity check (a tampered or truncated ``cascade.json`` fails to
-load) and the ``source`` field distinguishes freshly ``trained`` models
-from ``backfilled`` ones adopted from the pre-zoo flat cache.
+load) and the ``source`` field records where the bytes came from.  New
+versions are always ``trained``; ``backfilled`` versions, adopted from
+the pre-zoo flat cache by earlier releases, are still accepted on read
+so stores that hold them keep loading (content digest verified as for
+any other version).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class ModelManifest:
     recipe_digest: str
     content_digest: str
     seed: int
-    source: str  # "trained" | "backfilled"
+    source: str  # "trained" | "backfilled" (read-only legacy)
     git_sha: str = "unknown"
     created_utc: str = field(default_factory=_utc_now)
     rounds: tuple[dict, ...] = ()

@@ -50,7 +50,7 @@ def image():
     return rng.uniform(0, 255, (72, 96))
 
 
-@pytest.fixture(scope="module", params=["reference", "vectorized", "arrayapi"])
+@pytest.fixture(scope="module", params=["reference", "vectorized"])
 def backend(request):
     return get_backend(request.param)
 

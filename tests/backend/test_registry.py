@@ -11,6 +11,7 @@ from repro.backend import (
     default_backend_name,
     get_backend,
     register_backend,
+    resolve_backend,
 )
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.errors import ConfigurationError
@@ -59,6 +60,43 @@ class TestResolution:
     def test_backend_types(self):
         assert isinstance(get_backend("reference"), ReferenceBackend)
         assert isinstance(get_backend("vectorized"), VectorizedBackend)
+
+
+class TestOverrides:
+    """:func:`resolve_backend` precedence: prefer > ``REPRO_BACKEND`` > default."""
+
+    def test_no_override_lands_on_default(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        assert resolve_backend().backend.name == DEFAULT_BACKEND
+
+    def test_env_override_wins(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "vectorized")
+        assert resolve_backend().backend.name == "vectorized"
+
+    def test_explicit_prefer_beats_env(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "vectorized")
+        assert resolve_backend(prefer="reference").backend.name == "reference"
+
+    def test_unknown_backend_lists_names(self):
+        with pytest.raises(ConfigurationError) as exc:
+            resolve_backend(prefer="no-such-backend")
+        message = str(exc.value)
+        assert "reference" in message and "vectorized" in message
+
+
+class TestBenchmarkImportContract:
+    @pytest.mark.parametrize("env", [None, "vectorized"])
+    def test_resolve_default_is_get_backend_none(self, monkeypatch, env):
+        """``perfbench`` patches the class of
+        ``resolve_backend(prefer=default_backend_name()).backend``; it must
+        be the very instance a default pipeline runs on."""
+        if env is None:
+            monkeypatch.delenv(ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(ENV_VAR, env)
+        backend = resolve_backend(prefer=default_backend_name()).backend
+        assert backend is get_backend(None)
+        assert backend.name == (env or DEFAULT_BACKEND)
 
 
 class TestRegistration:

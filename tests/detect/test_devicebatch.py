@@ -4,17 +4,15 @@ The batch executor's contract is that ``batch_across_frames`` is purely
 an execution strategy: the same frames must produce byte-identical
 detections with batching on or off, on every sharding mode (serial,
 threads, processes), through both ``process_frames`` and
-``submit_batch``.  The ``vectorized`` backend is the identity surface;
-the ``arrayapi`` backend (``exactness="tolerance"``) is held to the
-detection-level IoU/score gate instead.  Unit tests pin the engine's
-frame grouping, the launch-fusion helpers and the transfer accounting the
-``BENCH_devicebatch.json`` columns are built from.
+``submit_batch``.  The ``vectorized`` backend is the identity surface.
+Unit tests pin the engine's frame grouping, the launch-fusion helpers
+and the transfer accounting the ``BENCH_devicebatch.json`` columns are
+built from.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend.oracle import ToleranceSpec, _diff_detections
 from repro.detect.devicebatch import (
     TransferStats,
     concat_launches,
@@ -266,31 +264,3 @@ class TestAccounting:
             list(engine.process_frames(iter(frames)))
         unfused = registry2.snapshot()["counters"]["engine.device_transfers"]
         assert transfers + saved == unfused
-
-
-class TestArrayApiTolerance:
-    def test_batched_arrayapi_within_detection_gate(self, cascade, frames):
-        """The tolerance-backend golden: batched arrayapi detections must
-        match its own per-frame output under the PR 8 detection gate
-        (IoU + score delta) — the acceptance contract a non-bit-exact
-        accelerator backend is held to."""
-        pipeline = FaceDetectionPipeline(
-            cascade, config=PipelineConfig(backend="arrayapi", fastpath="off")
-        )
-        workspace = pipeline.make_workspace()
-        per_frame = [workspace.process_frame(f) for f in frames]
-        with DetectionEngine(
-            pipeline, workers=0, batch_across_frames=True, device_batch=4
-        ) as engine:
-            batched = list(engine.process_frames(iter(frames)))
-        spec = ToleranceSpec()
-        mismatches: list[str] = []
-        for i, (ref, got) in enumerate(zip(per_frame, batched)):
-            _diff_detections(
-                mismatches,
-                f"frame {i}",
-                _detections(ref),
-                _detections(got),
-                spec,
-            )
-        assert not mismatches, "\n".join(mismatches[:10])

@@ -96,9 +96,7 @@ class TestEngineTrace:
     def test_snapshot_records_backend_and_registry(self, capture):
         info = capture.snapshot["backend"]
         assert info["active"] == capture.backend
-        assert {"reference", "vectorized", "arrayapi"} <= set(info["registered"])
-        assert info["device"] == capture.device == "cpu"
-        assert info["probe"]["selected"] == capture.backend
+        assert {"reference", "vectorized"} <= set(info["registered"])
 
     def test_backend_selection_reaches_snapshot(self):
         cap = run_trace(

@@ -91,6 +91,23 @@ class TestReadRequest:
             parse(raw)
         assert err.value.status == 400
 
+    def test_conflicting_content_length_400(self):
+        raw = (
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\n"
+            b"Content-Length: 500\r\n\r\nhello"
+        )
+        with pytest.raises(BadRequestError) as err:
+            parse(raw)
+        assert err.value.status == 400
+        assert "conflicting Content-Length" in str(err.value)
+
+    def test_repeated_identical_content_length_accepted(self):
+        raw = (
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\n"
+            b"content-length: 5\r\n\r\nhello"
+        )
+        assert parse(raw).body == b"hello"
+
     def test_oversized_body_413_without_reading_it(self):
         raw = b"POST / HTTP/1.1\r\nContent-Length: 999999\r\n\r\n"
         with pytest.raises(BadRequestError) as err:

@@ -36,7 +36,7 @@ def test_triggers(workflow):
 
 def test_jobs_present(workflow):
     assert {
-        "lint", "test", "test-vectorized", "test-arrayapi",
+        "lint", "test", "test-vectorized",
         "test-fastpath", "bench", "serve-smoke",
     } <= set(workflow["jobs"])
 
@@ -74,13 +74,6 @@ def test_vectorized_backend_job(workflow):
     """The tier-1 suite must also run once under REPRO_BACKEND=vectorized."""
     text = _steps_text(workflow["jobs"]["test-vectorized"])
     assert "REPRO_BACKEND=vectorized" in text
-    assert "PYTHONPATH=src python -m pytest -x -q" in text
-
-
-def test_arrayapi_backend_job(workflow):
-    """The tier-1 suite must also run once under REPRO_BACKEND=arrayapi."""
-    text = _steps_text(workflow["jobs"]["test-arrayapi"])
-    assert "REPRO_BACKEND=arrayapi" in text
     assert "PYTHONPATH=src python -m pytest -x -q" in text
 
 
@@ -136,7 +129,6 @@ def test_bench_artifacts_are_checked(workflow):
         "BENCH_throughput.json",
         "BENCH_throughput-vectorized.json",
         "BENCH_throughput-processes.json",
-        "BENCH_throughput-arrayapi.json",
     ):
         assert artifact in bench
     serve = _steps_text(workflow["jobs"]["serve-smoke"])
@@ -166,7 +158,7 @@ def test_serve_smoke_always_drains_the_server(workflow):
 
 def test_pip_caching(workflow):
     for name in (
-        "lint", "test", "test-vectorized", "test-arrayapi",
+        "lint", "test", "test-vectorized",
         "test-fastpath", "bench", "serve-smoke",
     ):
         setup = next(
@@ -203,19 +195,10 @@ def test_bench_job_smoke_and_artifact(workflow):
         uploads["BENCH_throughput-processes"]["path"]
         == "BENCH_throughput-processes.json"
     )
-    # the arrayapi smoke drives the CLI directly, exercising the
-    # --backend/--device surface and the schema-v4 provenance fields
-    assert "--backend arrayapi" in text
-    assert "--device list" in text
-    assert (
-        uploads["BENCH_throughput-arrayapi"]["path"]
-        == "BENCH_throughput-arrayapi.json"
-    )
     for name in (
         "BENCH_throughput-reference",
         "BENCH_throughput-vectorized",
         "BENCH_throughput-processes",
-        "BENCH_throughput-arrayapi",
     ):
         assert uploads[name].get("if-no-files-found") == "error"
 

@@ -174,57 +174,3 @@ class TestZooCommands:
         shown = json.loads(capsys.readouterr().out)
         assert shown["version"] == manifest.version
         assert shown["content_digest"] == manifest.content_digest
-
-
-class TestDeviceFlags:
-    def test_bench_device_list(self, capsys):
-        assert main(["bench", "throughput", "--device", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "requested device:" in out
-        assert "reference:cpu ok" in out
-        assert "arrayapi:cuda skipped" in out
-
-    def test_trace_device_list(self, capsys):
-        assert main(["trace", "--device", "list"]) == 0
-        assert "arrayapi:mps" in capsys.readouterr().out
-
-    def test_serve_device_list(self, capsys):
-        assert main(["serve", "--device", "list"]) == 0
-        assert "reference:cpu ok" in capsys.readouterr().out
-
-    def test_bench_throughput_stamps_device_and_probe(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_throughput.json"
-        code = main(
-            ["bench", "throughput", "--backend", "arrayapi", "--device", "cpu",
-             "--frames", "2", "--workers", "1", "--trials", "1", "--warmup", "0",
-             "--cascade", "quick", "--width", "120", "--height", "90",
-             "--output", str(out_path)]
-        )
-        assert code == 0
-        assert "arrayapi backend on cpu" in capsys.readouterr().out
-        payload = json.loads(out_path.read_text())
-        assert payload["backend"] == "arrayapi"
-        assert payload["device"] == "cpu"
-        assert payload["provenance"]["device"] == "cpu"
-        assert payload["provenance"]["probe"].endswith("arrayapi:cpu ok")
-
-    def test_gpu_flag_walks_to_cpu(self, capsys, tmp_path, monkeypatch):
-        # no accelerator in CI: --gpu must fall back, recording why.
-        # An env override (REPRO_BACKEND=...) legitimately short-circuits
-        # the probe walk, so the scenario under test needs it cleared.
-        import json
-
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        out_path = tmp_path / "BENCH_throughput.json"
-        code = main(
-            ["bench", "throughput", "--gpu",
-             "--frames", "2", "--workers", "1", "--trials", "1", "--warmup", "0",
-             "--cascade", "quick", "--width", "120", "--height", "90",
-             "--output", str(out_path)]
-        )
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["device"] == "cpu"
-        assert "skipped" in payload["provenance"]["probe"]

@@ -152,6 +152,22 @@ class TestStore:
         with pytest.raises(ZooError, match="digest mismatch"):
             copy.load("tiny")
 
+    def test_backfilled_versions_still_load_digest_verified(self, trained, tmp_path):
+        """Versions earlier releases adopted as ``backfilled`` stay loadable,
+        and their content digest is checked like any other version's."""
+        _, cascade, manifest = trained
+        store = ModelStore(tmp_path / "backfilled")
+        store.publish(cascade, dataclasses.replace(manifest, source="backfilled"))
+        loaded, again = store.load("tiny")
+        assert again.source == "backfilled"
+        assert cascade_digest(loaded) == manifest.content_digest
+        target = store.version_dir("tiny", manifest.version) / "cascade.json"
+        payload = json.loads(target.read_text())
+        payload["stages"][0]["threshold"] = 123.0
+        target.write_text(json.dumps(payload))
+        with pytest.raises(ZooError, match="digest mismatch"):
+            store.load("tiny")
+
     def test_unknown_refs_raise(self, trained):
         store, _, _ = trained
         with pytest.raises(ZooError):
@@ -278,40 +294,6 @@ class TestResolveAndCompat:
         assert again == manifest
         loaded, again = resolve_model("tiny", store=store)
         assert again.version == manifest.version
-
-    def test_legacy_flat_cache_blob_is_adopted_byte_identically(
-        self, trained, tmp_path, monkeypatch
-    ):
-        """Pre-zoo cached cascades publish as backfilled, not retrained."""
-        from repro.haar.cascade import Cascade
-        from repro.zoo import load_or_train
-        from repro.zoo.recipes import LEGACY_CACHE_NAMES
-
-        ref_store, cascade, manifest = trained
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "flat-cache"))
-        monkeypatch.setitem(LEGACY_CACHE_NAMES, "tiny", "tiny-legacy-r4-{seed}")
-        # the legacy blob carries the old cache-key name inside the JSON
-        from repro.utils.artifacts import artifact_dir
-
-        legacy = Cascade(
-            stages=cascade.stages,
-            name=f"tiny-legacy-r4-{SEED}",
-            window=cascade.window,
-            meta=dict(cascade.meta),
-        )
-        legacy.save(artifact_dir() / f"tiny-legacy-r4-{SEED}.cascade.json")
-
-        store = ModelStore(tmp_path / "adopting")
-        adopted, adopted_manifest = load_or_train(TINY, seed=SEED, store=store)
-        assert adopted_manifest.source == "backfilled"
-        assert adopted_manifest.content_digest == manifest.content_digest
-        published = (
-            store.version_dir("tiny", manifest.version) / "cascade.json"
-        ).read_bytes()
-        reference = (
-            ref_store.version_dir("tiny", manifest.version) / "cascade.json"
-        ).read_bytes()
-        assert published == reference
 
     def test_compat_shim_exports_survive(self):
         """`from repro.zoo import paper_cascade` keeps working."""
