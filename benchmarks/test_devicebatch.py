@@ -20,11 +20,10 @@ Knobs (environment variables, the CI jobs set them):
 """
 
 import json
-import os
-from pathlib import Path
 
 import pytest
 
+from repro.experiments import harness
 from repro.experiments.devicebatch import (
     DEVICEBATCH_BENCH_SCHEMA_VERSION,
     run_devicebatch,
@@ -33,12 +32,8 @@ from repro.experiments.devicebatch import (
 pytestmark = pytest.mark.bench
 
 
-def _artifact_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_OUTPUT", "BENCH_devicebatch.json"))
-
-
 def test_devicebatch_amortisation(report):
-    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    smoke = harness.smoke()
     result = run_devicebatch(
         trailer="50/50",
         frames=16 if smoke else 48,
@@ -51,7 +46,7 @@ def test_devicebatch_amortisation(report):
     )
     report(result.format_table())
 
-    path = result.write_json(_artifact_path())
+    path = result.write_json(harness.artifact_path("BENCH_devicebatch.json"))
     payload = json.loads(path.read_text())
     assert payload["experiment"] == "devicebatch"
     assert payload["schema_version"] == DEVICEBATCH_BENCH_SCHEMA_VERSION

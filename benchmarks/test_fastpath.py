@@ -18,22 +18,17 @@ Knobs (environment variables, the CI jobs set them):
 """
 
 import json
-import os
-from pathlib import Path
 
 import pytest
 
+from repro.experiments import harness
 from repro.experiments.fastpath import FASTPATH_BENCH_SCHEMA_VERSION, run_fastpath
 
 pytestmark = pytest.mark.bench
 
 
-def _artifact_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_OUTPUT", "BENCH_fastpath.json"))
-
-
 def test_fastpath_speedup(report):
-    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    smoke = harness.smoke()
     result = run_fastpath(
         trailer="50/50",
         frames=12 if smoke else 24,
@@ -48,7 +43,7 @@ def test_fastpath_speedup(report):
     )
     report(result.format_table())
 
-    path = result.write_json(_artifact_path())
+    path = result.write_json(harness.artifact_path("BENCH_fastpath.json"))
     payload = json.loads(path.read_text())
     assert payload["experiment"] == "fastpath"
     assert payload["schema_version"] == FASTPATH_BENCH_SCHEMA_VERSION

@@ -29,10 +29,10 @@ import io
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
+from repro.experiments import harness
 from repro.serve.loadgen import _Connection, build_payloads, run_loadtest
 from repro.serve.server import DetectionServer, ServerConfig
 from repro.utils.provenance import provenance
@@ -44,10 +44,6 @@ pytestmark = pytest.mark.bench
 BENCH_LOG_OVERHEAD_SCHEMA_VERSION = 1
 
 _MAX_OVERHEAD = 0.05
-
-
-def _artifact_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_OUTPUT", "BENCH_log_overhead.json"))
 
 
 def _config(*, observed: bool, workers: int) -> ServerConfig:
@@ -151,7 +147,7 @@ async def _drive(
 
 
 def test_log_overhead_bounded(report):
-    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    smoke = harness.smoke()
     requests = 16 if smoke else 64
     concurrency = 4
     trials = 2 if smoke else 3
@@ -231,7 +227,7 @@ def test_log_overhead_bounded(report):
             "identical_detections": out["identical"],
         },
     }
-    path = _artifact_path()
+    path = harness.artifact_path("BENCH_log_overhead.json")
     path.write_text(json.dumps(artifact, indent=2) + "\n")
 
     payload = json.loads(path.read_text())

@@ -21,21 +21,17 @@ Knobs (environment variables, the CI jobs set them):
 
 import json
 import os
-from pathlib import Path
 
 import pytest
 
+from repro.experiments import harness
 from repro.experiments.serving import BENCH_SERVING_SCHEMA_VERSION, run_serving
 
 pytestmark = pytest.mark.bench
 
 
-def _artifact_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_OUTPUT", "BENCH_serving.json"))
-
-
 def test_serving_batched_vs_unbatched(report):
-    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    smoke = harness.smoke()
     result = run_serving(
         requests=24 if smoke else 96,
         concurrency=4 if smoke else 8,
@@ -48,7 +44,7 @@ def test_serving_batched_vs_unbatched(report):
     )
     report(result.format_table())
 
-    path = result.write_json(_artifact_path())
+    path = result.write_json(harness.artifact_path("BENCH_serving.json"))
     payload = json.loads(path.read_text())
     assert payload["experiment"] == "serving"
     assert payload["schema_version"] == BENCH_SERVING_SCHEMA_VERSION

@@ -23,10 +23,10 @@ Knobs (all environment variables, the CI jobs set them):
 
 import json
 import os
-from pathlib import Path
 
 import pytest
 
+from repro.experiments import harness
 from repro.experiments.throughput import BENCH_SCHEMA_VERSION, run_throughput
 
 pytestmark = pytest.mark.bench
@@ -35,12 +35,8 @@ pytestmark = pytest.mark.bench
 _WIDTH, _HEIGHT = 480, 270
 
 
-def _artifact_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_OUTPUT", "BENCH_throughput.json"))
-
-
 def test_throughput_engine(report):
-    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    smoke = harness.smoke()
     mode = os.environ.get("REPRO_BENCH_MODE", "threads")
     result = run_throughput(
         frames=8 if smoke else 12,
@@ -54,7 +50,7 @@ def test_throughput_engine(report):
     )
     report(result.format_table())
 
-    path = result.write_json(_artifact_path())
+    path = result.write_json(harness.artifact_path("BENCH_throughput.json"))
     payload = json.loads(path.read_text())
     assert payload["experiment"] == "throughput"
     assert payload["frames"] == result.frames

@@ -11,13 +11,13 @@ overhead bound for a tracer that changes answers would be meaningless.
 always runs.
 """
 
-import os
 import time
 
 import pytest
 
 from repro.detect.engine import DetectionEngine
 from repro.detect.pipeline import FaceDetectionPipeline
+from repro.experiments import harness
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.video.stream import synthetic_stream
@@ -36,7 +36,7 @@ def _detections(results):
 
 
 def test_trace_overhead_bounded(report):
-    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    smoke = harness.smoke()
     frames = 8 if smoke else 12
     trials = 2 if smoke else 3
     cascade = quick_cascade(seed=0) if smoke else paper_cascade(seed=0)

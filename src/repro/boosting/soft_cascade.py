@@ -34,7 +34,6 @@ from repro.boosting.dataset import pack_windows
 from repro.boosting.responses import compute_responses
 from repro.errors import CascadeFormatError, TrainingError
 from repro.haar.cascade import Cascade, WeakClassifier
-from repro.haar.features import FeatureType, HaarFeature
 
 __all__ = [
     "SoftCascade",
@@ -75,19 +74,7 @@ class SoftCascade:
             "window": self.window,
             "meta": self.meta,
             "rejection_trace": list(self.rejection_trace),
-            "classifiers": [
-                {
-                    "type": c.feature.ftype.value,
-                    "x": c.feature.x,
-                    "y": c.feature.y,
-                    "sx": c.feature.sx,
-                    "sy": c.feature.sy,
-                    "threshold": c.threshold,
-                    "left": c.left,
-                    "right": c.right,
-                }
-                for c in self.classifiers
-            ],
+            "classifiers": [c.to_dict() for c in self.classifiers],
         }
 
     @classmethod
@@ -97,21 +84,7 @@ class SoftCascade:
                 raise CascadeFormatError(
                     f"unsupported soft-cascade format {data['format_version']}"
                 )
-            classifiers = tuple(
-                WeakClassifier(
-                    feature=HaarFeature(
-                        ftype=FeatureType(c["type"]),
-                        x=int(c["x"]),
-                        y=int(c["y"]),
-                        sx=int(c["sx"]),
-                        sy=int(c["sy"]),
-                    ),
-                    threshold=float(c["threshold"]),
-                    left=float(c["left"]),
-                    right=float(c["right"]),
-                )
-                for c in data["classifiers"]
-            )
+            classifiers = tuple(map(WeakClassifier.from_dict, data["classifiers"]))
             return cls(
                 classifiers=classifiers,
                 rejection_trace=tuple(float(v) for v in data["rejection_trace"]),

@@ -16,7 +16,12 @@ Commands
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import sys
+import types
+import typing
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -244,127 +249,73 @@ def _cmd_zoo_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.config import active_profile
+#: wall-clock experiment -> the ``run_<experiment>`` keywords its flags set
+_BENCH_DRIVERS = {
+    "throughput": "frames workers width height trials warmup cascade backend mode fastpath",
+    "fastpath": "trailer frames width height hold trials warmup cascade backend tile min_sigma",
+    "devicebatch": "trailer frames width height batch_sizes trials warmup cascade backend",
+    "serving": "requests concurrency width height cascade backend workers max_batch max_delay_s",
+    "swap": "model swap_to requests concurrency width height backend workers max_batch max_delay_s",
+}
 
-    if args.experiment == "throughput":
-        return _cmd_bench_throughput(args)
-    if args.experiment == "serving":
-        return _cmd_bench_serving(args)
-    if args.experiment == "fastpath":
-        return _cmd_bench_fastpath(args)
-    if args.experiment == "devicebatch":
-        return _cmd_bench_devicebatch(args)
-    if args.experiment == "swap":
-        return _cmd_bench_swap(args)
-    if args.experiment == "check":
-        return _cmd_bench_check(args)
-    profile = active_profile()
-    drivers = {
-        "table1": lambda: _fmt("table1", profile),
-        "table2": lambda: _fmt("table2", profile),
-        "fig5": lambda: _fmt("fig5", profile),
-        "fig6": lambda: _fmt("fig6", profile),
-        "fig7": lambda: _fmt("fig7", profile),
-        "fig8": lambda: _fmt("fig8", profile),
-        "fig9": lambda: _fmt("fig9", profile),
-    }
-    if args.experiment not in drivers:
-        print(
-            f"unknown experiment {args.experiment!r}; choose from "
-            f"{sorted(drivers) + ['check', 'devicebatch', 'fastpath', 'serving', 'swap', 'throughput']}"
-        )
-        return 2
-    print(drivers[args.experiment]())
+#: the ``run_trace`` keywords ``repro trace`` flags set
+_TRACE_KEYWORDS = "frames workers mode width height cascade faces seed backend fastpath"
+
+#: paper experiment -> the result method that prints it
+_PAPER_EXPERIMENTS = {
+    "table1": "format_table",
+    "table2": "format_table",
+    "fig5": "format_summary",
+    "fig6": "format_trace",
+    "fig7": "format_table",
+    "fig8": "format_table",
+    "fig9": "format_table",
+}
+
+_FLAG_HELP = {
+    "trials": "timed rounds (median + IQR scored)",
+    "warmup": "untimed warmup rounds before the scored rounds",
+    "backend": "compute backend (reference/vectorized; unset: $REPRO_BACKEND "
+    "or reference)",
+    "mode": "engine sharding: thread pool, process pool with shared-memory "
+    "frame transport, or auto (processes iff the host has the cores); "
+    "bench throughput times all three and headlines this one",
+    "fastpath": "two-tier fast-path policy (unset: $REPRO_FASTPATH or off)",
+    "trailer": "synthetic Table II trailer",
+    "hold": "times each rendered frame repeats (display-rate pulldown)",
+    "tile": "proposal screen tile size",
+    "min_sigma": "variance screen threshold",
+    "batch_sizes": "comma-separated device-batch widths; must include 1, "
+    "the per-frame baseline",
+    "requests": "requests (per phase for swap)",
+    "concurrency": "closed-loop clients",
+    "max_batch": "micro-batch width",
+    "max_delay_s": "micro-batch collection window in seconds",
+    "model": "model reference served before the swap",
+    "swap_to": "model reference to hot-swap to mid-load",
+    "tolerance": "relative tolerance applied to baseline min/max bounds",
+}
+
+
+def _bench_driver(experiment: str):
+    import importlib
+
+    module = importlib.import_module(f"repro.experiments.{experiment}")
+    return getattr(module, f"run_{experiment}")
+
+
+def _cmd_bench_driver(args: argparse.Namespace) -> int:
+    run = _bench_driver(args.experiment)
+    keywords = _BENCH_DRIVERS[args.experiment].split()
+    result = run(**{name: getattr(args, name) for name in keywords})
+    print(result.format_table())
+    print(f"benchmark artifact -> {result.write_json(args.output)}")
     return 0
 
 
-def _cmd_bench_throughput(args: argparse.Namespace) -> int:
-    from repro.experiments.throughput import run_throughput
-
-    result = run_throughput(
-        frames=args.frames,
-        workers=args.workers,
-        width=args.width,
-        height=args.height,
-        trials=args.trials,
-        warmup=args.warmup,
-        cascade=args.cascade,
-        backend=args.backend,
-        mode=args.mode,
-        fastpath=args.fastpath,
-    )
-    print(result.format_table())
-    path = result.write_json(args.output)
-    print(f"benchmark artifact -> {path}")
-    return 0
-
-
-def _cmd_bench_fastpath(args: argparse.Namespace) -> int:
-    from repro.experiments.fastpath import run_fastpath
-
-    # the shared bench flags default to the throughput workload; untouched
-    # values fall back to the fast-path defaults (320x240 trailer frames)
-    width = 320 if args.width == 480 else args.width
-    height = 240 if args.height == 270 else args.height
-    frames = 24 if args.frames == 10 else args.frames
-    cascade = "quick" if args.cascade == "paper" else args.cascade
-    backend = args.backend if args.backend is not None else "vectorized"
-    result = run_fastpath(
-        trailer=args.trailer,
-        frames=frames,
-        width=width,
-        height=height,
-        hold=args.hold,
-        trials=args.trials,
-        warmup=args.warmup,
-        cascade=cascade,
-        backend=backend,
-        tile=args.tile,
-        min_sigma=args.min_sigma,
-    )
-    print(result.format_table())
-    output = args.output
-    if output == "BENCH_throughput.json":
-        output = "BENCH_fastpath.json"
-    path = result.write_json(output)
-    print(f"benchmark artifact -> {path}")
-    return 0
-
-
-def _cmd_bench_devicebatch(args: argparse.Namespace) -> int:
-    from repro.experiments.devicebatch import run_devicebatch
-
-    # the shared bench flags default to the throughput workload; untouched
-    # values fall back to the device-batch defaults (96x96 trailer frames,
-    # enough of them that every width forms full batches)
-    width = 96 if args.width == 480 else args.width
-    height = 96 if args.height == 270 else args.height
-    frames = 48 if args.frames == 10 else args.frames
-    cascade = "quick" if args.cascade == "paper" else args.cascade
-    backend = args.backend if args.backend is not None else "vectorized"
-    try:
-        batch_sizes = tuple(int(b) for b in args.batch_sizes.split(","))
-    except ValueError:
-        print(f"--batch-sizes must be comma-separated integers, got {args.batch_sizes!r}")
-        return 2
-    result = run_devicebatch(
-        trailer=args.trailer,
-        frames=frames,
-        width=width,
-        height=height,
-        batch_sizes=batch_sizes,
-        trials=args.trials,
-        warmup=args.warmup,
-        cascade=cascade,
-        backend=backend,
-    )
-    print(result.format_table())
-    output = args.output
-    if output == "BENCH_throughput.json":
-        output = "BENCH_devicebatch.json"
-    path = result.write_json(output)
-    print(f"benchmark artifact -> {path}")
+def _cmd_bench_paper(args: argparse.Namespace) -> int:
+    result = _bench_driver(args.experiment)()
+    print(getattr(result, _PAPER_EXPERIMENTS[args.experiment])())
     return 0
 
 
@@ -378,66 +329,6 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
     )
     print(result.format_report())
     return 0 if result.ok else 1
-
-
-def _cmd_bench_serving(args: argparse.Namespace) -> int:
-    from repro.experiments.serving import run_serving
-
-    # the shared bench flags default to the throughput workload (paper
-    # cascade, quarter-1080p), far too heavy for a request-level bench;
-    # untouched values fall back to the serving defaults
-    width = 96 if args.width == 480 else args.width
-    height = 96 if args.height == 270 else args.height
-    cascade = "quick" if args.cascade == "paper" else args.cascade
-    workers = None if args.workers == 4 else args.workers
-    result = run_serving(
-        requests=args.requests,
-        concurrency=args.concurrency,
-        width=width,
-        height=height,
-        cascade=cascade,
-        backend=args.backend,
-        workers=workers,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1e3,
-    )
-    print(result.format_table())
-    path = result.write_json(args.output)
-    print(f"benchmark artifact -> {path}")
-    return 0
-
-
-def _cmd_bench_swap(args: argparse.Namespace) -> int:
-    from repro.experiments.swap import run_swap
-
-    # the shared bench flags default to the throughput workload; untouched
-    # values fall back to the hot-swap defaults (small frames, the quick
-    # cascades — the swap mechanics are what is measured, not the model)
-    width = 96 if args.width == 480 else args.width
-    height = 96 if args.height == 270 else args.height
-    model = "quick" if args.cascade == "paper" else args.cascade
-    workers = 1 if args.workers == 4 else args.workers
-    requests = 64 if args.requests == 96 else args.requests
-    concurrency = 4 if args.concurrency == 8 else args.concurrency
-    result = run_swap(
-        model=model,
-        swap_to=args.swap_to,
-        requests=requests,
-        concurrency=concurrency,
-        width=width,
-        height=height,
-        backend=args.backend,
-        workers=workers,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1e3,
-    )
-    print(result.format_table())
-    output = args.output
-    if output == "BENCH_throughput.json":
-        output = "BENCH_swap.json"
-    path = result.write_json(output)
-    print(f"benchmark artifact -> {path}")
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -480,6 +371,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
+    from repro.experiments.harness import write_artifact
     from repro.experiments.serving import serving_artifact
     from repro.serve.loadgen import build_payloads, run_loadtest
     from repro.utils.tables import format_table
@@ -553,9 +445,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         trailer=args.trailer,
         server_stats=stats,
     )
-    from pathlib import Path as _Path
-
-    _Path(args.output).write_text(json.dumps(artifact, indent=2) + "\n")
+    write_artifact(args.output, artifact)
     print(f"benchmark artifact -> {args.output}")
     if result.errors or (result.ok == 0 and result.requests > 0):
         print("loadtest saw transport errors or zero OK responses", file=sys.stderr)
@@ -565,22 +455,13 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.capture import run_trace
+    from repro.obs.chrome import write_chrome_trace
+    from repro.obs.report import render_snapshot, write_snapshot
 
-    capture = run_trace(
-        frames=args.frames,
-        workers=args.workers,
-        width=args.width,
-        height=args.height,
-        cascade=args.cascade,
-        faces=args.faces,
-        seed=args.seed,
-        backend=args.backend,
-        mode=args.mode,
-        fastpath=args.fastpath,
-    )
-    trace_path = capture.write_trace(args.output)
-    metrics_path = capture.write_metrics(args.metrics_output)
-    print(capture.render_snapshot())
+    capture = run_trace(**{name: getattr(args, name) for name in _TRACE_KEYWORDS.split()})
+    trace_path = write_chrome_trace(args.output, capture.events)
+    metrics_path = write_snapshot(args.metrics_output, capture.snapshot)
+    print(render_snapshot(capture.snapshot))
     print(
         f"\ntraced {capture.frames} frames on {capture.workers} workers"
         f" ({capture.backend} backend, {capture.mode} sharding)"
@@ -590,34 +471,129 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fmt(name: str, profile) -> str:
-    if name == "table1":
-        from repro.experiments.table1 import run_table1
+class _LazyParser(argparse.ArgumentParser):
+    """An argument parser that adds its arguments on first use.
 
-        return run_table1().format_table()
-    if name == "table2":
-        from repro.experiments.table2 import run_table2
+    ``repro bench <experiment>`` and ``repro trace`` read their flags
+    from the driver signatures, and importing a driver loads the
+    detection, serving and zoo stacks: a cost that every other command,
+    and every other bench experiment, skips.
+    """
 
-        return run_table2(profile).format_table()
-    if name == "fig5":
-        from repro.experiments.fig5 import run_fig5
+    def __init__(self, *args, populate=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._populate = populate
 
-        return run_fig5(profile).format_summary()
-    if name == "fig6":
-        from repro.experiments.fig6 import run_fig6
+    def parse_known_args(self, args=None, namespace=None):
+        if self._populate is not None:
+            populate, self._populate = self._populate, None
+            populate(self)
+        return super().parse_known_args(args, namespace)
 
-        return run_fig6(profile).format_trace()
-    if name == "fig7":
-        from repro.experiments.fig7 import run_fig7
 
-        return run_fig7(profile).format_table()
-    if name == "fig8":
-        from repro.experiments.fig8 import run_fig8
+def _comma_list(item: type):
+    def parse(text: str) -> tuple:
+        return tuple(item(part) for part in text.split(","))
 
-        return run_fig8(profile).format_table()
-    from repro.experiments.fig9 import run_fig9
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
 
-    return run_fig9(profile).format_table()
+
+def _flag_spec(annotation, default) -> dict:
+    """argparse ``type``/``choices``/``default`` for one driver keyword.
+
+    ``X | None`` parses as ``X``, a ``Literal`` or an ``Enum`` gives its
+    values as choices, and ``tuple[X, ...]`` parses a comma list.
+    """
+    if isinstance(default, Enum):
+        default = default.value
+    options = [annotation]
+    # get_type_hints gives ``typing.Union`` for ``X | None = None`` before 3.11
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
+        options = [a for a in typing.get_args(annotation) if a is not type(None)]
+    for option in options:
+        if typing.get_origin(option) is typing.Literal:
+            return {"choices": typing.get_args(option), "default": default}
+        if isinstance(option, type) and issubclass(option, Enum):
+            return {"choices": [m.value for m in option], "default": default}
+    (option,) = options
+    if typing.get_origin(option) is tuple:
+        return {"type": _comma_list(typing.get_args(option)[0]), "default": default}
+    return {"type": option, "default": default}
+
+
+def _add_driver_flags(p: argparse.ArgumentParser, run, keywords) -> None:
+    """One ``--flag`` per ``run`` keyword named in the space-separated
+    ``keywords``, typed and defaulted by ``run``'s signature."""
+    hints = typing.get_type_hints(run)
+    params = inspect.signature(run).parameters
+    for keyword in keywords.split():
+        p.add_argument(
+            "--" + keyword.replace("_", "-"),
+            help=_FLAG_HELP.get(keyword, keyword.replace("_", " ")),
+            **_flag_spec(hints[keyword], params[keyword].default),
+        )
+
+
+def _add_trace_flags(p: argparse.ArgumentParser) -> None:
+    from repro.obs.capture import run_trace
+
+    _add_driver_flags(p, run_trace, _TRACE_KEYWORDS)
+    p.add_argument(
+        "--output", "-o", default="TRACE_engine.json", help="Chrome trace JSON path"
+    )
+    p.add_argument(
+        "--metrics-output",
+        default="TRACE_metrics.json",
+        help="metrics snapshot JSON path",
+    )
+
+
+def _add_bench_driver_flags(name: str, p: argparse.ArgumentParser) -> None:
+    _add_driver_flags(p, _bench_driver(name), _BENCH_DRIVERS[name])
+    p.add_argument("--output", default=f"BENCH_{name}.json", help="JSON artifact path")
+
+
+def _add_bench_check_flags(p: argparse.ArgumentParser) -> None:
+    from repro.experiments.benchcheck import run_bench_check
+
+    p.add_argument(
+        "files", nargs="*", help="artifacts to validate (default: glob cwd)"
+    )
+    p.add_argument(
+        "--baselines",
+        default="benchmarks/baselines",
+        help="baseline directory for metric comparisons",
+    )
+    _add_driver_flags(p, run_bench_check, "tolerance")
+
+
+def _add_bench_parsers(bench: argparse.ArgumentParser) -> None:
+    """One subparser per experiment; a driver's flags mirror its keywords.
+
+    Each subparser reads its driver's signature on first use, so a bench
+    run imports only the driver it runs.
+    """
+    sub = bench.add_subparsers(
+        dest="experiment", metavar="experiment", required=True, parser_class=_LazyParser
+    )
+    for name in _BENCH_DRIVERS:
+        p = sub.add_parser(
+            name,
+            help=f"wall-clock bench -> BENCH_{name}.json",
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+            populate=functools.partial(_add_bench_driver_flags, name),
+        )
+        p.set_defaults(func=_cmd_bench_driver)
+
+    p = sub.add_parser(
+        "check", help="validate BENCH_*.json artifacts", populate=_add_bench_check_flags
+    )
+    p.set_defaults(func=_cmd_bench_check)
+
+    for name in _PAPER_EXPERIMENTS:
+        p = sub.add_parser(name, help=f"print the paper's {name}")
+        p.set_defaults(func=_cmd_bench_paper)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -630,7 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_LazyParser
+    )
 
     p = sub.add_parser("detect", help="detect faces in an image")
     p.add_argument("image", nargs="?", help="PGM/PPM image (omit for a demo scene)")
@@ -697,158 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--model", default=None, help="restrict collection to one model")
     z.set_defaults(func=_cmd_zoo_gc)
 
-    p = sub.add_parser("bench", help="run one experiment driver")
-    p.add_argument(
-        "experiment",
-        help="table1|table2|fig5|fig6|fig7|fig8|fig9|throughput|serving|"
-        "fastpath|devicebatch|swap|check",
-    )
-    p.add_argument(
-        "files",
-        nargs="*",
-        help="BENCH_*.json artifacts to validate (check; default: glob cwd)",
-    )
-    p.add_argument("--frames", type=int, default=10, help="frames (throughput)")
-    p.add_argument("--workers", type=int, default=4, help="engine workers (throughput)")
-    p.add_argument("--width", type=int, default=480, help="frame width (throughput)")
-    p.add_argument("--height", type=int, default=270, help="frame height (throughput)")
-    p.add_argument("--trials", type=int, default=3, help="timing rounds (throughput)")
-    p.add_argument(
-        "--warmup",
-        type=int,
-        default=1,
-        help="untimed warmup rounds before the scored rounds (throughput)",
-    )
-    p.add_argument(
-        "--mode",
-        choices=("threads", "processes", "auto"),
-        default="threads",
-        help="primary engine sharding mode for the headline speedup and the "
-        "instrumented pass; all three paths are always timed (throughput)",
-    )
-    p.add_argument(
-        "--cascade",
-        choices=("quick", "paper", "opencv"),
-        default="paper",
-        help="cascade profile (throughput)",
-    )
-    p.add_argument(
-        "--backend",
-        default=None,
-        help="compute backend (reference/vectorized; default: "
-        "$REPRO_BACKEND or reference) (throughput)",
-    )
-    p.add_argument(
-        "--output",
-        default="BENCH_throughput.json",
-        help="JSON artifact path (throughput: BENCH_throughput.json; "
-        "serving: pass BENCH_serving.json)",
-    )
-    p.add_argument("--requests", type=int, default=96, help="requests (serving)")
-    p.add_argument(
-        "--concurrency", type=int, default=8, help="closed-loop clients (serving)"
-    )
-    p.add_argument(
-        "--max-batch", type=int, default=8, help="micro-batch width (serving)"
-    )
-    p.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=4.0,
-        help="micro-batch collection window (serving)",
-    )
-    p.add_argument(
-        "--fastpath",
-        choices=("off", "exact", "fast"),
-        default=None,
-        help="two-tier fast-path policy for the timed pipelines "
-        "(default: $REPRO_FASTPATH or off) (throughput)",
-    )
-    p.add_argument(
-        "--trailer", default="50/50", help="synthetic Table II trailer (fastpath)"
-    )
-    p.add_argument(
-        "--hold",
-        type=int,
-        default=2,
-        help="times each rendered frame repeats — display-rate pulldown "
-        "cadence (fastpath)",
-    )
-    p.add_argument(
-        "--tile", type=int, default=16, help="proposal screen tile size (fastpath)"
-    )
-    p.add_argument(
-        "--min-sigma",
-        type=float,
-        default=4.0,
-        help="variance screen threshold (fastpath)",
-    )
-    p.add_argument(
-        "--batch-sizes",
-        default="1,4,8,16",
-        help="comma-separated device-batch widths to sweep; must include "
-        "1, the per-frame baseline (devicebatch)",
-    )
-    p.add_argument(
-        "--swap-to",
-        default="quick_baseline",
-        help="model reference to hot-swap to mid-load (swap)",
-    )
-    p.add_argument(
-        "--baselines",
-        default="benchmarks/baselines",
-        help="baseline directory for metric comparisons (check)",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.1,
-        help="relative tolerance applied to baseline min/max bounds (check)",
-    )
-    p.set_defaults(func=_cmd_bench)
+    _add_bench_parsers(sub.add_parser("bench", help="run one experiment driver"))
 
     p = sub.add_parser(
-        "trace", help="record a Chrome trace + metrics snapshot of the engine"
-    )
-    p.add_argument("--frames", type=int, default=8, help="frames to process")
-    p.add_argument("--workers", type=int, default=2, help="engine workers")
-    p.add_argument(
-        "--mode",
-        choices=("threads", "processes", "auto"),
-        default="threads",
-        help="engine sharding: thread pool, process pool with shared-memory "
-        "frame transport, or auto (processes iff the host has the cores)",
-    )
-    p.add_argument("--width", type=int, default=480)
-    p.add_argument("--height", type=int, default=270)
-    p.add_argument(
-        "--cascade",
-        choices=("quick", "paper", "opencv"),
-        default="quick",
-        help="cascade profile",
-    )
-    p.add_argument("--faces", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--backend",
-        default=None,
-        help="compute backend (reference/vectorized; default: "
-        "$REPRO_BACKEND or reference)",
-    )
-    p.add_argument(
-        "--fastpath",
-        choices=("off", "exact", "fast"),
-        default=None,
-        help="two-tier fast-path policy; its fastpath.diff/screen spans "
-        "land on the trace (default: $REPRO_FASTPATH or off)",
-    )
-    p.add_argument(
-        "--output", "-o", default="TRACE_engine.json", help="Chrome trace JSON path"
-    )
-    p.add_argument(
-        "--metrics-output",
-        default="TRACE_metrics.json",
-        help="metrics snapshot JSON path",
+        "trace",
+        help="record a Chrome trace + metrics snapshot of the engine",
+        populate=_add_trace_flags,
     )
     p.set_defaults(func=_cmd_trace)
 

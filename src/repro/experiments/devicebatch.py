@@ -14,11 +14,11 @@ one ``scheduler.run`` per batch instead of per frame, and one
 host<->device crossing per transfer site per batch instead of per
 frame.
 
-Methodology mirrors :mod:`repro.experiments.fastpath`: the frame set is
+Methodology follows :mod:`repro.experiments.harness`: the frame set is
 materialised once, one engine (and so one workspace with warm plans)
 per batch width stays alive across all rounds, rounds alternate across
-widths so drift hits them equally, and each width scores the median of
-its timed rounds with the IQR as spread.
+widths, and each width scores the median of its timed rounds with the
+IQR as spread.
 
 Identity is non-negotiable: every batch width must produce detections
 byte-identical to width 1 (the fused kernels are elementwise over
@@ -36,19 +36,21 @@ runs outside smoke mode.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro import zoo
 from repro.detect.engine import DetectionEngine
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.errors import ConfigurationError
-from repro.experiments.throughput import ModeTiming, _identical
+from repro.experiments.harness import (
+    Comparison,
+    ModeTiming,
+    check_inputs,
+    identical,
+    time_rounds,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import build_snapshot
-from repro.utils.provenance import provenance
 from repro.utils.tables import format_table
 from repro.video.stream import trailer_stream
 
@@ -57,16 +59,14 @@ __all__ = ["DeviceBatchResult", "run_devicebatch", "DEVICEBATCH_BENCH_SCHEMA_VER
 #: ``BENCH_devicebatch.json`` schema version
 DEVICEBATCH_BENCH_SCHEMA_VERSION = 1
 
-_CASCADES = {
-    "quick": zoo.quick_cascade,
-    "paper": zoo.paper_cascade,
-    "opencv": zoo.opencv_like_cascade,
-}
-
 
 @dataclass
-class DeviceBatchResult:
+class DeviceBatchResult(Comparison):
     """Outcome of one batch-width sweep over identical frames."""
+
+    experiment = "devicebatch"
+    schema_version = DEVICEBATCH_BENCH_SCHEMA_VERSION
+    baseline = 1
 
     trailer: str
     width: int
@@ -92,10 +92,6 @@ class DeviceBatchResult:
 
     def per_frame_ms(self, batch: int) -> float:
         return self.timings[batch].median_s / self.frames * 1e3
-
-    def speedup_of(self, batch: int) -> float:
-        median = self.timings[batch].median_s
-        return self.timings[1].median_s / median if median > 0 else 0.0
 
     @property
     def speedup(self) -> float:
@@ -129,9 +125,7 @@ class DeviceBatchResult:
                 **self.accounting[b],
             }
         return {
-            "experiment": "devicebatch",
-            "schema_version": DEVICEBATCH_BENCH_SCHEMA_VERSION,
-            "provenance": provenance(backend=self.backend, mode="devicebatch"),
+            **self.header(backend=self.backend, mode="devicebatch"),
             "trailer": self.trailer,
             "frame_width": self.width,
             "frame_height": self.height,
@@ -149,11 +143,6 @@ class DeviceBatchResult:
             "transfer_accounting_ok": self.transfer_accounting_ok,
             "metrics": self.metrics,
         }
-
-    def write_json(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
 
     def format_table(self) -> str:
         rows = [
@@ -215,7 +204,7 @@ def run_devicebatch(
     batch_sizes: tuple[int, ...] = (1, 4, 8, 16),
     trials: int = 3,
     warmup: int = 1,
-    cascade: str = "quick",
+    cascade: zoo.CascadeName = "quick",
     seed: int = 0,
     backend: str | None = "vectorized",
 ) -> DeviceBatchResult:
@@ -227,27 +216,18 @@ def run_devicebatch(
     batched kernels are where stacked lanes actually fuse (``reference``
     loops per frame by design and measures nothing).
     """
-    if frames <= 0:
-        raise ConfigurationError("frames must be positive")
-    if trials <= 0:
-        raise ConfigurationError("trials must be positive")
-    if warmup < 0:
-        raise ConfigurationError("warmup must be >= 0")
+    check_inputs(frames=frames, trials=trials, warmup=warmup, cascade=cascade)
     sizes = tuple(sorted(set(int(b) for b in batch_sizes)))
     if not sizes or sizes[0] < 1:
         raise ConfigurationError("batch sizes must be >= 1")
     if 1 not in sizes:
         raise ConfigurationError("batch_sizes must include 1 (the baseline)")
-    if cascade not in _CASCADES:
-        raise ConfigurationError(
-            f"unknown cascade {cascade!r}; choose from {sorted(_CASCADES)}"
-        )
 
     lumas = [
         packet.luma
         for packet in trailer_stream(trailer, width, height, frames, seed=seed)
     ]
-    source = _CASCADES[cascade](seed=0)
+    source = zoo.resolve_model(cascade)[0]
     pipeline = FaceDetectionPipeline(source, config=PipelineConfig(backend=backend))
 
     # Instrumented pass per width: fills the accounting columns and the
@@ -269,9 +249,7 @@ def run_devicebatch(
         accounting[b] = _engine_counters(registry)
         if b == sizes[-1]:
             metrics_snapshot = build_snapshot(registry, backend=pipeline.backend.name)
-    identical = all(
-        _identical(results_by_batch[1], results_by_batch[b]) for b in sizes
-    )
+    all_identical = all(identical(results_by_batch[1], results_by_batch[b]) for b in sizes)
 
     engines = {
         b: DetectionEngine(
@@ -279,21 +257,20 @@ def run_devicebatch(
         )
         for b in sizes
     }
-    timings = {b: ModeTiming() for b in sizes}
+
+    def run_width(b: int) -> None:
+        processed = list(engines[b].process_frames(iter(lumas)))
+        if len(processed) != frames:
+            raise ConfigurationError(
+                f"batch {b} returned {len(processed)} of {frames} frames"
+            )
+
     try:
-        for round_index in range(warmup + trials):
-            timed = round_index >= warmup
-            for b in sizes:
-                start = time.perf_counter()
-                processed = list(engines[b].process_frames(iter(lumas)))
-                elapsed = time.perf_counter() - start
-                if len(processed) != frames:
-                    raise ConfigurationError(
-                        f"batch {b} returned {len(processed)} of {frames} frames"
-                    )
-                (timings[b].rounds if timed else timings[b].warmup_rounds).append(
-                    elapsed
-                )
+        timings = time_rounds(
+            {b: lambda b=b: run_width(b) for b in sizes},
+            trials=trials,
+            warmup=warmup,
+        )
     finally:
         for engine in engines.values():
             engine.close()
@@ -310,6 +287,6 @@ def run_devicebatch(
         batch_sizes=sizes,
         timings=timings,
         accounting=accounting,
-        identical_detections=identical,
+        identical_detections=all_identical,
         metrics=metrics_snapshot,
     )

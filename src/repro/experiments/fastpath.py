@@ -15,12 +15,11 @@ precision of its detections against ``exact`` matched on position and
 size (score excluded: a carried-forward detection keeps its previous
 margin).
 
-Methodology mirrors :mod:`repro.experiments.throughput`: the frame set
-is materialised once, every path is warmed before timing (the warm pass
+Methodology follows :mod:`repro.experiments.harness`: the frame set is
+materialised once, every path is warmed before timing (the warm pass
 also populates the temporal caches — steady-state reuse is exactly what
-the fast path exists for), rounds alternate across the three paths so
-drift hits them equally, and each path scores the median of its timed
-rounds with the IQR as spread.
+the fast path exists for), rounds alternate across the three paths, and
+each path scores the median of its timed rounds with the IQR as spread.
 
 The stream models display-rate cadence: each rendered trailer frame is
 emitted ``hold`` times (default 2), the way 24 fps content reaches a
@@ -42,21 +41,20 @@ backend runs.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro import zoo
-from repro.detect.engine import DetectionEngine
 from repro.detect.fastpath import FastpathConfig, FastpathFrameStats, FastpathPolicy
 from repro.detect.pipeline import FaceDetectionPipeline, FrameResult, PipelineConfig
 from repro.errors import ConfigurationError
-from repro.experiments.throughput import ModeTiming, _detection_key
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import build_snapshot
-from repro.obs.tracer import Tracer
-from repro.utils.provenance import provenance
+from repro.experiments.harness import (
+    Comparison,
+    ModeTiming,
+    check_inputs,
+    identical,
+    instrumented_pass,
+    time_rounds,
+)
 from repro.utils.tables import format_table
 from repro.video.stream import trailer_stream
 
@@ -65,12 +63,6 @@ __all__ = ["FastpathResult", "run_fastpath", "FASTPATH_BENCH_SCHEMA_VERSION"]
 #: ``BENCH_fastpath.json`` schema version
 FASTPATH_BENCH_SCHEMA_VERSION = 1
 
-_CASCADES = {
-    "quick": zoo.quick_cascade,
-    "paper": zoo.paper_cascade,
-    "opencv": zoo.opencv_like_cascade,
-}
-
 
 def _positions(result: FrameResult) -> set[tuple]:
     """Detections keyed by (x, y, size) — score-free matching for recall."""
@@ -78,8 +70,12 @@ def _positions(result: FrameResult) -> set[tuple]:
 
 
 @dataclass
-class FastpathResult:
+class FastpathResult(Comparison):
     """Outcome of one off / exact / fast wall-clock + accuracy comparison."""
+
+    experiment = "fastpath"
+    schema_version = FASTPATH_BENCH_SCHEMA_VERSION
+    baseline = "off"
 
     trailer: str
     width: int
@@ -92,9 +88,8 @@ class FastpathResult:
     backend: str
     tile: int
     min_sigma: float
-    off: ModeTiming
-    exact: ModeTiming
-    fast: ModeTiming
+    #: "off", "exact" and "fast", in timing order
+    timings: dict[str, ModeTiming]
     #: byte identity of ``exact`` vs the baseline, cold and warm
     identity: dict[str, bool]
     #: position/size match of ``fast`` vs ``exact`` on the warm pass
@@ -116,13 +111,6 @@ class FastpathResult:
         """Frames actually processed per round: rendered x hold."""
         return self.frames * self.hold
 
-    def timing(self, policy: str) -> ModeTiming:
-        return {"off": self.off, "exact": self.exact, "fast": self.fast}[policy]
-
-    def speedup_of(self, policy: str) -> float:
-        median = self.timing(policy).median_s
-        return self.off.median_s / median if median > 0 else 0.0
-
     @property
     def speedup(self) -> float:
         """Headline: ``fast`` wall clock vs the baseline (``off``)."""
@@ -131,15 +119,13 @@ class FastpathResult:
     @property
     def speedup_vs_exact(self) -> float:
         """What the lossy tier adds over the byte-identical tier."""
-        fast = self.fast.median_s
-        return self.exact.median_s / fast if fast > 0 else 0.0
+        fast = self.timings["fast"].median_s
+        return self.timings["exact"].median_s / fast if fast > 0 else 0.0
 
     def to_dict(self) -> dict:
         """The ``BENCH_fastpath.json`` payload."""
         return {
-            "experiment": "fastpath",
-            "schema_version": FASTPATH_BENCH_SCHEMA_VERSION,
-            "provenance": provenance(backend=self.backend, mode="fast"),
+            **self.header(backend=self.backend, mode="fast"),
             "trailer": self.trailer,
             "frame_width": self.width,
             "frame_height": self.height,
@@ -151,17 +137,7 @@ class FastpathResult:
             "backend": self.backend,
             "tile": self.tile,
             "min_sigma": self.min_sigma,
-            "policies": {
-                "off": self.off.to_dict(self.total_frames),
-                "exact": {
-                    **self.exact.to_dict(self.total_frames),
-                    "speedup": self.speedup_of("exact"),
-                },
-                "fast": {
-                    **self.fast.to_dict(self.total_frames),
-                    "speedup": self.speedup_of("fast"),
-                },
-            },
+            "policies": self.paths_dict(self.total_frames),
             "speedup": self.speedup,
             "speedup_vs_exact": self.speedup_vs_exact,
             "identical_exact": self.identical_exact,
@@ -173,25 +149,10 @@ class FastpathResult:
             "metrics": self.metrics,
         }
 
-    def write_json(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
-
     def format_table(self) -> str:
-        def row(policy: str) -> list:
-            t = self.timing(policy)
-            return [
-                policy,
-                round(t.median_s, 3),
-                round(t.iqr_s, 3),
-                round(t.fps(self.total_frames), 2),
-                round(self.speedup_of(policy), 2),
-            ]
-
         table = format_table(
             ["policy", "median s", "IQR s", "fps", "speedup vs off"],
-            [row("off"), row("exact"), row("fast")],
+            self.path_rows({p: p for p in self.timings}, self.total_frames),
             title=(
                 f"Fast path — {self.frames} x {self.width}x{self.height} "
                 f"'{self.trailer}' trailer frames held x{self.hold}, "
@@ -230,7 +191,7 @@ def run_fastpath(
     hold: int = 2,
     trials: int = 3,
     warmup: int = 1,
-    cascade: str = "quick",
+    cascade: zoo.CascadeName = "quick",
     seed: int = 0,
     backend: str | None = "vectorized",
     tile: int = 16,
@@ -245,25 +206,16 @@ def run_fastpath(
     to ``REPRO_BACKEND``; the default is ``vectorized`` (see module
     doc).
     """
-    if frames <= 0:
-        raise ConfigurationError("frames must be positive")
+    check_inputs(frames=frames, trials=trials, warmup=warmup, cascade=cascade)
     if hold <= 0:
         raise ConfigurationError("hold must be positive")
-    if trials <= 0:
-        raise ConfigurationError("trials must be positive")
-    if warmup < 0:
-        raise ConfigurationError("warmup must be >= 0")
-    if cascade not in _CASCADES:
-        raise ConfigurationError(
-            f"unknown cascade {cascade!r}; choose from {sorted(_CASCADES)}"
-        )
 
     lumas = [
         packet.luma
         for packet in trailer_stream(trailer, width, height, frames, seed=seed)
         for _ in range(hold)
     ]
-    source = _CASCADES[cascade](seed=0)
+    source = zoo.resolve_model(cascade)[0]
 
     def pipeline_for(policy: FastpathPolicy) -> FaceDetectionPipeline:
         config = FastpathConfig(policy=policy, tile=tile, min_sigma=min_sigma)
@@ -282,38 +234,22 @@ def run_fastpath(
     # exact pass is also the strictest identity check (no cache to lean on).
     reference = [off_ws.process_frame(luma) for luma in lumas]
     exact_cold = [exact_ws.process_frame(luma) for luma in lumas]
-    fast_results = [fast_ws.process_frame(luma) for luma in lumas]
-    identity = {
-        "cold": all(
-            _detection_key(r) == _detection_key(c)
-            for r, c in zip(reference, exact_cold)
-        )
-    }
+    for luma in lumas:
+        fast_ws.process_frame(luma)
+    identity = {"cold": identical(reference, exact_cold)}
 
-    off_t, exact_t, fast_t = ModeTiming(), ModeTiming(), ModeTiming()
-    exact_results = exact_cold
-    for round_index in range(warmup + trials):
-        timed = round_index >= warmup
-
-        start = time.perf_counter()
-        reference = [off_ws.process_frame(luma) for luma in lumas]
-        elapsed = time.perf_counter() - start
-        (off_t.rounds if timed else off_t.warmup_rounds).append(elapsed)
-
-        start = time.perf_counter()
-        exact_results = [exact_ws.process_frame(luma) for luma in lumas]
-        elapsed = time.perf_counter() - start
-        (exact_t.rounds if timed else exact_t.warmup_rounds).append(elapsed)
-
-        start = time.perf_counter()
-        fast_results = [fast_ws.process_frame(luma) for luma in lumas]
-        elapsed = time.perf_counter() - start
-        (fast_t.rounds if timed else fast_t.warmup_rounds).append(elapsed)
-
-    identity["warm"] = all(
-        _detection_key(r) == _detection_key(c)
-        for r, c in zip(reference, exact_results)
+    timings = time_rounds(
+        {
+            "off": lambda: [off_ws.process_frame(luma) for luma in lumas],
+            "exact": lambda: [exact_ws.process_frame(luma) for luma in lumas],
+            "fast": lambda: [fast_ws.process_frame(luma) for luma in lumas],
+        },
+        trials=trials,
+        warmup=warmup,
     )
+    exact_results = timings["exact"].last
+    fast_results = timings["fast"].last
+    identity["warm"] = identical(timings["off"].last, exact_results)
 
     matched = sum(
         len(_positions(e) & _positions(f))
@@ -324,18 +260,11 @@ def run_fastpath(
     recall = matched / exact_total if exact_total else 1.0
     precision = matched / fast_total if fast_total else 1.0
 
-    # One instrumented pass after the timed rounds: the snapshot carries
-    # the bridged fastpath.* counters and the fastpath.diff/screen spans.
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    with DetectionEngine(
-        pipeline_for(FastpathPolicy.FAST),
-        workers=0,
-        tracer=tracer,
-        metrics=registry,
-    ) as engine:
-        list(engine.process_frames(iter(lumas)))
-    metrics = build_snapshot(registry, tracer, backend=off_pipeline.backend.name)
+    # the snapshot carries the bridged fastpath.* counters and the
+    # fastpath.diff/screen spans
+    _, metrics = instrumented_pass(
+        pipeline_for(FastpathPolicy.FAST), lumas, workers=0
+    )
 
     return FastpathResult(
         trailer=trailer,
@@ -349,9 +278,7 @@ def run_fastpath(
         backend=off_pipeline.backend.name,
         tile=tile,
         min_sigma=min_sigma,
-        off=off_t,
-        exact=exact_t,
-        fast=fast_t,
+        timings=timings,
         identity=identity,
         recall=recall,
         precision=precision,

@@ -25,12 +25,13 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.errors import ConfigurationError
+from repro.experiments.harness import BenchArtifact, artifact_header
 from repro.serve.loadgen import LoadTestResult, build_payloads, run_loadtest
-from repro.utils.provenance import provenance
+from repro.serve.protocol import HttpRequest, decode_frame, detections_payload, json_body
 from repro.utils.tables import format_table
+from repro.zoo import CascadeName
 
 __all__ = ["ServingResult", "run_serving", "serving_artifact", "BENCH_SERVING_SCHEMA_VERSION"]
 
@@ -40,8 +41,11 @@ BENCH_SERVING_SCHEMA_VERSION = 1
 
 
 @dataclass
-class ServingResult:
+class ServingResult(BenchArtifact):
     """Outcome of one batched-vs-unbatched serving comparison."""
+
+    experiment = "serving"
+    schema_version = BENCH_SERVING_SCHEMA_VERSION
 
     width: int
     height: int
@@ -75,9 +79,7 @@ class ServingResult:
     def to_dict(self) -> dict:
         batched_lat = self.batched.latency_summary()
         return {
-            "experiment": "serving",
-            "schema_version": BENCH_SERVING_SCHEMA_VERSION,
-            "provenance": provenance(backend=self.backend, mode=self.sharding),
+            **self.header(backend=self.backend, mode=self.sharding),
             "workload": {
                 "frame_width": self.width,
                 "frame_height": self.height,
@@ -108,11 +110,6 @@ class ServingResult:
             "speedup": self.speedup,
             "identical_responses": self.identical_responses,
         }
-
-    def write_json(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
 
     def format_table(self) -> str:
         def row(label: str, run: LoadTestResult) -> list:
@@ -150,7 +147,6 @@ def _expected_response_bodies(
     payloads: list[tuple[bytes, str]], cascade: str, backend: str | None
 ) -> list[bytes]:
     """What a direct pipeline call would serialise for each payload."""
-    from repro.serve.protocol import HttpRequest, decode_frame, detections_payload, json_body
     from repro.serve.server import _build_pipeline
     from repro.obs.tracer import NULL_TRACER
 
@@ -201,8 +197,6 @@ async def _run_one(
     try:
         identical = True
         if expected is not None:
-            from repro.serve.protocol import json_body as _json_body
-
             conn = _Connection("127.0.0.1", server.port)
             for (body, content_type), want in zip(payloads, expected):
                 status, got = await conn.request(
@@ -219,7 +213,7 @@ async def _run_one(
                     for k, v in json.loads(got).items()
                     if k not in ("trace_id", "timing", "model_version")
                 }
-                if _json_body(payload) != want:
+                if json_body(payload) != want:
                     identical = False
             conn.close()
         result = await run_loadtest(
@@ -244,7 +238,7 @@ def run_serving(
     frames: int = 6,
     faces: int = 1,
     trailer: str | None = None,
-    cascade: str = "quick",
+    cascade: CascadeName = "quick",
     backend: str | None = None,
     workers: int | None = None,
     sharding: str = "threads",
@@ -272,20 +266,16 @@ def run_serving(
     )
     expected = _expected_response_bodies(payloads, cascade, backend)
 
-    async def drive() -> tuple:
-        batched = await _run_one(
-            max_batch=max_batch, max_delay_s=max_delay_s, cascade=cascade,
-            backend=backend, workers=workers, sharding=sharding,
-            payloads=payloads, requests=requests, concurrency=concurrency,
-            expected=expected,
-        )
-        unbatched = await _run_one(
-            max_batch=1, max_delay_s=max_delay_s, cascade=cascade,
-            backend=backend, workers=workers, sharding=sharding,
-            payloads=payloads, requests=requests, concurrency=concurrency,
-            expected=expected,
-        )
-        return batched, unbatched
+    async def drive() -> list:
+        return [
+            await _run_one(
+                max_batch=batch, max_delay_s=max_delay_s, cascade=cascade,
+                backend=backend, workers=workers, sharding=sharding,
+                payloads=payloads, requests=requests, concurrency=concurrency,
+                expected=expected,
+            )
+            for batch in (max_batch, 1)
+        ]
 
     (batched, batched_stats, ident_b), (unbatched, unbatched_stats, ident_u) = (
         asyncio.run(drive())
@@ -335,9 +325,11 @@ def serving_artifact(
     lat = result.latency_summary()
     engine = (server_stats or {}).get("engine", {})
     return {
-        "experiment": "serving-loadtest",
-        "schema_version": BENCH_SERVING_SCHEMA_VERSION,
-        "provenance": provenance(mode=engine.get("sharding")),
+        **artifact_header(
+            "serving-loadtest",
+            BENCH_SERVING_SCHEMA_VERSION,
+            mode=engine.get("sharding"),
+        ),
         "workload": {
             "frame_width": width,
             "frame_height": height,

@@ -35,11 +35,10 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.errors import ConfigurationError, ServeError
+from repro.experiments.harness import BenchArtifact
 from repro.serve.loadgen import LoadTestResult, _Connection, build_payloads, run_loadtest
-from repro.utils.provenance import provenance
 from repro.utils.tables import format_table
 
 __all__ = ["SwapResult", "run_swap", "BENCH_SWAP_SCHEMA_VERSION"]
@@ -50,8 +49,11 @@ BENCH_SWAP_SCHEMA_VERSION = 1
 
 
 @dataclass
-class SwapResult:
+class SwapResult(BenchArtifact):
     """Outcome of one hot-swap-under-load run."""
+
+    experiment = "swap"
+    schema_version = BENCH_SWAP_SCHEMA_VERSION
 
     width: int
     height: int
@@ -115,9 +117,7 @@ class SwapResult:
 
     def to_dict(self) -> dict:
         return {
-            "experiment": "swap",
-            "schema_version": BENCH_SWAP_SCHEMA_VERSION,
-            "provenance": provenance(backend=self.backend, mode="threads"),
+            **self.header(backend=self.backend, mode="threads"),
             "workload": {
                 "frame_width": self.width,
                 "frame_height": self.height,
@@ -149,11 +149,6 @@ class SwapResult:
                 "flipped": self.flipped,
             },
         }
-
-    def write_json(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
 
     def format_table(self) -> str:
         def row(label: str, run: LoadTestResult) -> list:

@@ -12,46 +12,39 @@ frame — across three execution paths over the same frames:
 * ``processes``  — the process-sharded engine: persistent worker
   processes, shared-memory frame transport, true multi-core scaling.
 
-Methodology (single shared-core boxes are noisy, so this is deliberate):
-
-* the frame set is materialised once and shared by every path;
-* every path is warmed before timing — the serial pass doubles as the
-  byte-identity reference, the engines run one full pass each so worker
-  state (workspaces, pyramid plans, spawned worker processes) is built
-  outside the timed region, exactly as it would be mid-video;
-* the three paths alternate within each round (serial, threads,
-  processes) so drift hits all of them equally; ``warmup`` initial
-  rounds are recorded but excluded from scoring;
-* each path scores the **median** of its timed rounds with the IQR as
-  the spread estimate — medians are robust to the 2x outlier rounds
-  that best-of-N silently hid, and the artifact keeps every raw round
-  so regressions in *variance* are visible across PRs, not just
-  regressions in the point estimate.
+Methodology follows :mod:`repro.experiments.harness`: the frame set is
+materialised once and shared by every path; every path is warmed before
+timing — the serial pass doubles as the byte-identity reference, the
+engines run one full pass each so worker state (workspaces, pyramid
+plans, spawned worker processes) is built outside the timed region,
+exactly as it would be mid-video; the three paths alternate within each
+round (serial, threads, processes) and score the median of their timed
+rounds with the IQR as spread — medians are robust to the 2x outlier
+rounds that best-of-N silently hid.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import statistics
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro import zoo
 from repro.detect.engine import DetectionEngine, ShardingMode, batch_report
-from repro.detect.pipeline import FaceDetectionPipeline, FrameResult, PipelineConfig
-from repro.errors import ConfigurationError
+from repro.detect.fastpath import FastpathPolicy
+from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
+from repro.experiments.harness import (
+    Comparison,
+    ModeTiming,
+    check_inputs,
+    identical,
+    instrumented_pass,
+    time_rounds,
+)
 from repro.gpusim.batch import BatchReport
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import build_snapshot
-from repro.obs.tracer import Tracer
-from repro.utils.provenance import provenance
 from repro.utils.tables import format_table
 from repro.video.stream import synthetic_stream
 
 __all__ = [
-    "ModeTiming",
     "ThroughputResult",
     "run_throughput",
     "BENCH_SCHEMA_VERSION",
@@ -68,50 +61,14 @@ BENCH_SCHEMA_VERSION = 5
 _DEFAULT_WIDTH = 480
 _DEFAULT_HEIGHT = 270
 
-_CASCADES = {
-    "quick": zoo.quick_cascade,
-    "paper": zoo.paper_cascade,
-    "opencv": zoo.opencv_like_cascade,
-}
-
 
 @dataclass
-class ModeTiming:
-    """Timed rounds of one execution path, median/IQR scored."""
-
-    rounds: list[float] = field(default_factory=list)
-    warmup_rounds: list[float] = field(default_factory=list)
-
-    @property
-    def median_s(self) -> float:
-        return statistics.median(self.rounds) if self.rounds else 0.0
-
-    @property
-    def iqr_s(self) -> float:
-        """Interquartile range of the timed rounds (inclusive quartiles;
-        0.0 with fewer than two rounds)."""
-        if len(self.rounds) < 2:
-            return 0.0
-        q1, _, q3 = statistics.quantiles(self.rounds, n=4, method="inclusive")
-        return q3 - q1
-
-    def fps(self, frames: int) -> float:
-        median = self.median_s
-        return frames / median if median > 0 else 0.0
-
-    def to_dict(self, frames: int) -> dict:
-        return {
-            "rounds_s": list(self.rounds),
-            "warmup_rounds_s": list(self.warmup_rounds),
-            "median_s": self.median_s,
-            "iqr_s": self.iqr_s,
-            "fps": self.fps(frames),
-        }
-
-
-@dataclass
-class ThroughputResult:
+class ThroughputResult(Comparison):
     """Outcome of one serial / threads / processes wall-clock comparison."""
+
+    experiment = "throughput"
+    schema_version = BENCH_SCHEMA_VERSION
+    baseline = "serial"
 
     width: int
     height: int
@@ -123,9 +80,8 @@ class ThroughputResult:
     backend: str
     #: the primary (headline) engine mode: "threads" or "processes"
     mode: str
-    serial: ModeTiming
-    threads: ModeTiming
-    processes: ModeTiming
+    #: "serial", "threads" and "processes", in timing order
+    timings: dict[str, ModeTiming]
     #: per-path byte-identity against the serial reference
     identity: dict[str, bool]
     report: BatchReport
@@ -137,32 +93,9 @@ class ThroughputResult:
         """Every measured path produced byte-identical detections."""
         return all(self.identity.values())
 
-    def timing(self, mode: str) -> ModeTiming:
-        return {
-            "serial": self.serial,
-            "threads": self.threads,
-            "processes": self.processes,
-        }[mode]
-
-    @property
-    def serial_s(self) -> float:
-        return self.serial.median_s
-
-    @property
-    def batched_s(self) -> float:
-        return self.timing(self.mode).median_s
-
     @property
     def serial_fps(self) -> float:
-        return self.serial.fps(self.frames)
-
-    @property
-    def batched_fps(self) -> float:
-        return self.timing(self.mode).fps(self.frames)
-
-    def speedup_of(self, mode: str) -> float:
-        median = self.timing(mode).median_s
-        return self.serial.median_s / median if median > 0 else 0.0
+        return self.timings["serial"].fps(self.frames)
 
     @property
     def speedup(self) -> float:
@@ -172,9 +105,7 @@ class ThroughputResult:
     def to_dict(self) -> dict:
         """The ``BENCH_throughput.json`` payload."""
         return {
-            "experiment": "throughput",
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "provenance": provenance(backend=self.backend, mode=self.mode),
+            **self.header(backend=self.backend, mode=self.mode),
             "frame_width": self.width,
             "frame_height": self.height,
             "frames": self.frames,
@@ -184,21 +115,11 @@ class ThroughputResult:
             "cascade": self.cascade,
             "backend": self.backend,
             "mode": self.mode,
-            "modes": {
-                "serial": self.serial.to_dict(self.frames),
-                "threads": {
-                    **self.threads.to_dict(self.frames),
-                    "speedup": self.speedup_of("threads"),
-                },
-                "processes": {
-                    **self.processes.to_dict(self.frames),
-                    "speedup": self.speedup_of("processes"),
-                },
-            },
-            "serial_s": self.serial_s,
-            "batched_s": self.batched_s,
+            "modes": self.paths_dict(self.frames),
+            "serial_s": self.timings["serial"].median_s,
+            "batched_s": self.timings[self.mode].median_s,
             "serial_fps": self.serial_fps,
-            "batched_fps": self.batched_fps,
+            "batched_fps": self.timings[self.mode].fps(self.frames),
             "speedup": self.speedup,
             "identical_detections": self.identical,
             "identity": dict(self.identity),
@@ -206,31 +127,15 @@ class ThroughputResult:
             "metrics": self.metrics,
         }
 
-    def write_json(self, path: str | Path) -> Path:
-        """Write the JSON artifact; returns the resolved path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
-
     def format_table(self) -> str:
-        def row(label: str, mode: str) -> list:
-            t = self.timing(mode)
-            return [
-                label,
-                round(t.median_s, 3),
-                round(t.iqr_s, 3),
-                round(t.fps(self.frames), 2),
-                round(self.speedup_of(mode), 2),
-            ]
-
-        rows = [
-            row("serial process_frame", "serial"),
-            row(f"threads engine ({self.workers} workers)", "threads"),
-            row(f"processes engine ({self.workers} workers)", "processes"),
-        ]
+        labels = {
+            "serial": "serial process_frame",
+            "threads": f"threads engine ({self.workers} workers)",
+            "processes": f"processes engine ({self.workers} workers)",
+        }
         table = format_table(
             ["path", "median s", "IQR s", "fps", "speedup"],
-            rows,
+            self.path_rows(labels, self.frames),
             title=(
                 f"Throughput — {self.frames} x {self.width}x{self.height} synthetic "
                 f"frames, {self.cascade} cascade, {self.backend} backend "
@@ -248,16 +153,6 @@ class ThroughputResult:
         )
 
 
-def _detection_key(result: FrameResult) -> tuple:
-    return tuple((d.x, d.y, d.size, d.score) for d in result.raw_detections)
-
-
-def _identical(reference: list[FrameResult], candidate: list[FrameResult]) -> bool:
-    return len(reference) == len(candidate) and all(
-        _detection_key(r) == _detection_key(c) for r, c in zip(reference, candidate)
-    )
-
-
 def run_throughput(
     *,
     frames: int = 10,
@@ -266,12 +161,12 @@ def run_throughput(
     height: int = _DEFAULT_HEIGHT,
     trials: int = 3,
     warmup: int = 1,
-    cascade: str = "paper",
+    cascade: zoo.CascadeName = "paper",
     faces: int = 2,
     seed: int = 0,
     backend: str | None = None,
     mode: ShardingMode | str = ShardingMode.THREADS,
-    fastpath: str | None = None,
+    fastpath: FastpathPolicy | str | None = None,
 ) -> ThroughputResult:
     """Measure serial vs thread-sharded vs process-sharded wall-clock fps.
 
@@ -284,16 +179,7 @@ def run_throughput(
     selects the two-tier fast-path policy the same way (``None`` defers
     to ``REPRO_FASTPATH`` / off).
     """
-    if frames <= 0:
-        raise ConfigurationError("frames must be positive")
-    if trials <= 0:
-        raise ConfigurationError("trials must be positive")
-    if warmup < 0:
-        raise ConfigurationError("warmup must be >= 0")
-    if cascade not in _CASCADES:
-        raise ConfigurationError(
-            f"unknown cascade {cascade!r}; choose from {sorted(_CASCADES)}"
-        )
+    check_inputs(frames=frames, trials=trials, warmup=warmup, cascade=cascade)
     primary = ShardingMode.coerce(mode).resolve(workers)
 
     lumas = [
@@ -301,7 +187,7 @@ def run_throughput(
         for packet in synthetic_stream(width, height, frames, faces=faces, seed=seed)
     ]
     pipeline = FaceDetectionPipeline(
-        _CASCADES[cascade](seed=0),
+        zoo.resolve_model(cascade)[0],
         config=PipelineConfig(backend=backend, fastpath=fastpath),
     )
     thread_engine = DetectionEngine(pipeline, workers=workers, sharding="threads")
@@ -315,58 +201,35 @@ def run_throughput(
         threaded = list(thread_engine.process_frames(iter(lumas)))
         processed = list(process_engine.process_frames(iter(lumas)))
         identity = {
-            "threads": _identical(reference, threaded),
-            "processes": _identical(reference, processed),
+            "threads": identical(reference, threaded),
+            "processes": identical(reference, processed),
         }
-
-        serial_t, threads_t, processes_t = ModeTiming(), ModeTiming(), ModeTiming()
-        results = processed
-        for round_index in range(warmup + trials):
-            timed = round_index >= warmup
-
-            start = time.perf_counter()
-            for luma in lumas:
-                pipeline.process_frame(luma)
-            elapsed = time.perf_counter() - start
-            (serial_t.rounds if timed else serial_t.warmup_rounds).append(elapsed)
-
-            start = time.perf_counter()
-            list(thread_engine.process_frames(iter(lumas)))
-            elapsed = time.perf_counter() - start
-            (threads_t.rounds if timed else threads_t.warmup_rounds).append(elapsed)
-
-            start = time.perf_counter()
-            results = list(process_engine.process_frames(iter(lumas)))
-            elapsed = time.perf_counter() - start
-            (processes_t.rounds if timed else processes_t.warmup_rounds).append(elapsed)
+        timings = time_rounds(
+            {
+                "serial": lambda: [pipeline.process_frame(luma) for luma in lumas],
+                "threads": lambda: list(thread_engine.process_frames(iter(lumas))),
+                "processes": lambda: list(process_engine.process_frames(iter(lumas))),
+            },
+            trials=trials,
+            warmup=warmup,
+        )
     finally:
         thread_engine.close()
         process_engine.close()
 
-    primary_timing = {
-        ShardingMode.THREADS: threads_t,
-        ShardingMode.PROCESSES: processes_t,
-    }[primary]
-    report = batch_report(results, wall_s=primary_timing.median_s)
+    report = batch_report(
+        timings["processes"].last, wall_s=timings[primary.value].median_s
+    )
 
-    # One extra fully instrumented pass *after* the timed rounds, on the
-    # primary mode: the metrics snapshot (per-stage busy seconds,
-    # frame-latency percentiles, queue depth — merged across worker
-    # processes under process sharding) rides along in the JSON artifact
-    # without perturbing the timed region.  It doubles as another
-    # identity check: tracing must not change a single output byte.
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    with DetectionEngine(
-        pipeline,
-        workers=workers,
-        sharding=primary,
-        tracer=tracer,
-        metrics=registry,
-    ) as traced_engine:
-        traced = list(traced_engine.process_frames(iter(lumas)))
-    identity["traced"] = _identical(reference, traced)
-    metrics = build_snapshot(registry, tracer, backend=pipeline.backend.name)
+    # The instrumented pass runs the primary mode: its metrics snapshot
+    # (per-stage busy seconds, frame-latency percentiles, queue depth —
+    # merged across worker processes under process sharding) rides along
+    # in the artifact.  It doubles as another identity check: tracing
+    # must not change a single output byte.
+    traced, metrics = instrumented_pass(
+        pipeline, lumas, workers=workers, sharding=primary
+    )
+    identity["traced"] = identical(reference, traced)
 
     return ThroughputResult(
         width=width,
@@ -378,9 +241,7 @@ def run_throughput(
         cascade=cascade,
         backend=pipeline.backend.name,
         mode=primary.value,
-        serial=serial_t,
-        threads=threads_t,
-        processes=processes_t,
+        timings=timings,
         identity=identity,
         report=report,
         metrics=metrics,

@@ -47,12 +47,6 @@ class StreamManager:
         self._streams.append(stream)
         return stream
 
-    def create_many(self, count: int, prefix: str = "scale") -> list[Stream]:
-        """Create ``count`` streams labelled ``{prefix}{i}`` (one per scale)."""
-        if count < 0:
-            raise ConfigurationError("count must be non-negative")
-        return [self.create(f"{prefix}{i}") for i in range(count)]
-
     def __len__(self) -> int:
         return len(self._streams)
 

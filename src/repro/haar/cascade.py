@@ -41,6 +41,35 @@ class WeakClassifier:
     left: float
     right: float
 
+    def to_dict(self) -> dict:
+        f = self.feature
+        return {
+            "type": f.ftype.value,
+            "x": f.x,
+            "y": f.y,
+            "sx": f.sx,
+            "sy": f.sy,
+            "threshold": self.threshold,
+            "left": self.left,
+            "right": self.right,
+        }
+
+    @classmethod
+    def from_dict(cls, c: dict) -> WeakClassifier:
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            feature=HaarFeature(
+                ftype=FeatureType(c["type"]),
+                x=int(c["x"]),
+                y=int(c["y"]),
+                sx=int(c["sx"]),
+                sy=int(c["sy"]),
+            ),
+            threshold=float(c["threshold"]),
+            left=float(c["left"]),
+            right=float(c["right"]),
+        )
+
 
 @dataclass(frozen=True)
 class Stage:
@@ -112,19 +141,7 @@ class Cascade:
             "stages": [
                 {
                     "threshold": s.threshold,
-                    "classifiers": [
-                        {
-                            "type": c.feature.ftype.value,
-                            "x": c.feature.x,
-                            "y": c.feature.y,
-                            "sx": c.feature.sx,
-                            "sy": c.feature.sy,
-                            "threshold": c.threshold,
-                            "left": c.left,
-                            "right": c.right,
-                        }
-                        for c in s.classifiers
-                    ],
+                    "classifiers": [c.to_dict() for c in s.classifiers],
                 }
                 for s in self.stages
             ],
@@ -139,21 +156,7 @@ class Cascade:
                 raise CascadeFormatError(f"unsupported cascade format version {version}")
             stages = []
             for s in data["stages"]:
-                classifiers = tuple(
-                    WeakClassifier(
-                        feature=HaarFeature(
-                            ftype=FeatureType(c["type"]),
-                            x=int(c["x"]),
-                            y=int(c["y"]),
-                            sx=int(c["sx"]),
-                            sy=int(c["sy"]),
-                        ),
-                        threshold=float(c["threshold"]),
-                        left=float(c["left"]),
-                        right=float(c["right"]),
-                    )
-                    for c in s["classifiers"]
-                )
+                classifiers = tuple(map(WeakClassifier.from_dict, s["classifiers"]))
                 stages.append(Stage(classifiers=classifiers, threshold=float(s["threshold"])))
             return cls(
                 stages=tuple(stages),

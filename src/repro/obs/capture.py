@@ -13,13 +13,17 @@ stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from repro import zoo
+from repro.detect.engine import DetectionEngine, ShardingMode
+from repro.detect.fastpath import FastpathPolicy
+from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.errors import ConfigurationError
-from repro.obs.chrome import engine_trace_events, write_chrome_trace
+from repro.obs.chrome import engine_trace_events
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import build_snapshot, render_snapshot, write_snapshot
+from repro.obs.report import build_snapshot
 from repro.obs.tracer import Tracer
+from repro.video.stream import synthetic_stream
 
 __all__ = ["TraceCapture", "run_trace"]
 
@@ -39,15 +43,6 @@ class TraceCapture:
     tracer: Tracer = field(repr=False)
     metrics: MetricsRegistry = field(repr=False)
 
-    def write_trace(self, path: str | Path) -> Path:
-        return write_chrome_trace(path, self.events)
-
-    def write_metrics(self, path: str | Path) -> Path:
-        return write_snapshot(path, self.snapshot)
-
-    def render_snapshot(self) -> str:
-        return render_snapshot(self.snapshot)
-
 
 def run_trace(
     *,
@@ -55,12 +50,12 @@ def run_trace(
     workers: int = 2,
     width: int = 480,
     height: int = 270,
-    cascade: str = "quick",
+    cascade: zoo.CascadeName = "quick",
     faces: int = 2,
     seed: int = 0,
     backend: str | None = None,
-    mode: str = "threads",
-    fastpath: str | None = None,
+    mode: ShardingMode | str = ShardingMode.THREADS,
+    fastpath: FastpathPolicy | str | None = None,
     pipeline=None,
 ) -> TraceCapture:
     """Run ``frames`` synthetic frames through a fully traced engine.
@@ -76,26 +71,12 @@ def run_trace(
     ``fast``) when the pipeline is built here; its ``fastpath.diff`` /
     ``fastpath.screen`` spans land on the same trace.
     """
-    # local imports: keep repro.obs importable without the detection stack
-    from repro import zoo
-    from repro.detect.engine import DetectionEngine
-    from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
-    from repro.video.stream import synthetic_stream
-
     if frames <= 0:
         raise ConfigurationError("frames must be positive")
     if pipeline is None:
-        cascades = {
-            "quick": zoo.quick_cascade,
-            "paper": zoo.paper_cascade,
-            "opencv": zoo.opencv_like_cascade,
-        }
-        if cascade not in cascades:
-            raise ConfigurationError(
-                f"unknown cascade {cascade!r}; choose from {sorted(cascades)}"
-            )
+        zoo.check_cascade(cascade)
         pipeline = FaceDetectionPipeline(
-            cascades[cascade](seed=0),
+            zoo.resolve_model(cascade)[0],
             config=PipelineConfig(backend=backend, fastpath=fastpath),
         )
 

@@ -177,12 +177,11 @@ async def read_request(
     body = b""
     length = headers.get("content-length")
     if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
-            raise BadRequestError(f"bad Content-Length {length!r}") from None
-        if n < 0:
+        # RFC 9110 §8.6: 1*DIGIT only — int() would also take "+5", "1_0"
+        # and "-0", which a proxy may frame differently
+        if not (length.isascii() and length.isdigit()):
             raise BadRequestError(f"bad Content-Length {length!r}")
+        n = int(length)
         if n > max_body_bytes:
             raise BadRequestError(
                 f"body of {n} bytes exceeds the {max_body_bytes}-byte limit",

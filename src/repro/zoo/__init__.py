@@ -17,8 +17,9 @@ for the built-in recipes, now backed by the versioned store.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Literal, get_args
 
-from repro.errors import ZooError
+from repro.errors import ConfigurationError, ZooError
 from repro.haar.cascade import Cascade
 from repro.zoo.manifest import ModelManifest, cascade_digest
 from repro.zoo.recipes import QUICK_STAGE_SIZES, RECIPES, TrainingRecipe, recipe_for
@@ -39,6 +40,8 @@ __all__ = [
     "load_or_train",
     "evaluate_recipe",
     "resolve_model",
+    "CascadeName",
+    "check_cascade",
     # compat with the retired zoo.py module
     "QUICK_STAGE_SIZES",
     "quick_cascade",
@@ -49,6 +52,18 @@ __all__ = [
 
 #: serving-layer shorthand accepted wherever a model reference is
 _BUILTIN_ALIASES = {"opencv": "opencv_like"}
+
+#: the built-in cascade names the bench drivers and ``repro trace`` run
+CascadeName = Literal["quick", "paper", "opencv"]
+
+
+def check_cascade(cascade: str) -> None:
+    """Reject a ``cascade`` that is not a :data:`CascadeName`."""
+    names = get_args(CascadeName)
+    if cascade not in names:
+        raise ConfigurationError(
+            f"unknown cascade {cascade!r}; choose from {sorted(names)}"
+        )
 
 
 def resolve_model(

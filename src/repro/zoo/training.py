@@ -34,7 +34,7 @@ from repro.boosting.cascade_trainer import (
 )
 from repro.data.backgrounds import render_background, sample_patches
 from repro.data.faces import render_training_chip
-from repro.errors import CascadeFormatError, ZooError
+from repro.errors import CascadeFormatError
 from repro.haar.cascade import Cascade
 from repro.haar.enumeration import subsampled_feature_pool
 from repro.haar.features import WINDOW

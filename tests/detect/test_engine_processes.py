@@ -13,7 +13,6 @@ genuine pool processes, not monkeypatched stand-ins.
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.detect.engine import DetectionEngine, ShardingMode

@@ -86,10 +86,13 @@ class TestReadRequest:
         assert err.value.status == 501
 
     def test_bad_content_length_400(self):
-        raw = b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"
-        with pytest.raises(BadRequestError) as err:
-            parse(raw)
-        assert err.value.status == 400
+        # RFC 9110 §8.6 allows only 1*DIGIT: the sign and digit-separator
+        # spellings int() would accept must not frame a body either
+        for length in (b"nope", b"+5", b"1_0", b"-0"):
+            raw = b"POST / HTTP/1.1\r\nContent-Length: " + length
+            with pytest.raises(BadRequestError) as err:
+                parse(raw + b"\r\n\r\n0123456789")
+            assert err.value.status == 400, length
 
     def test_conflicting_content_length_400(self):
         raw = (
